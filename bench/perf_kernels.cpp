@@ -58,6 +58,17 @@ void BM_CompactBtiStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactBtiStep);
 
+void BM_SramArrayDay(benchmark::State& state) {
+  // One simulated day of the sram_recovery_boost study: 64 cells holding
+  // static data at 95 C, 10 % of the day in recovery boost.
+  sram::SramArray array{sram::SramArrayParams{}};
+  for (auto _ : state) {
+    array.step(Celsius{95.0}, hours(24.0), 0.1);
+    benchmark::DoNotOptimize(array.cell(0).left_pmos_dvth());
+  }
+}
+BENCHMARK(BM_SramArrayDay);
+
 void BM_KorhonenStep(benchmark::State& state) {
   em::KorhonenSolver solver{em::paper_wire(),
                             em::paper_calibrated_em_material()};

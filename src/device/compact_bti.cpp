@@ -11,12 +11,38 @@ namespace dh::device {
 
 namespace {
 
-/// First-order relaxation of pool `x` toward `target` with time constant
-/// `tau` over `dt` (exact update).
-double relax(double x, double target, double tau, double dt) {
-  if (tau <= 0.0) return target;
-  return target + (x - target) * std::exp(-dt / tau);
+/// Decay factor of a first-order relaxation with time constant `tau` over
+/// `dt` (exact update). A non-positive tau relaxes at once: factor 0, and
+/// target + (x - target) * 0 is exactly the target for a finite x.
+double relax_decay(double tau, double dt) {
+  if (tau <= 0.0) return 0.0;
+  return std::exp(-dt / tau);
 }
+
+double relax(double x, double target, double decay) {
+  return target + (x - target) * decay;
+}
+
+/// One forward-Euler substep of permanent precursor generation and
+/// second-order locking. The divide by p_max_v makes a device's substeps
+/// one serial chain.
+struct PrecursorSubstep {
+  double g;
+  double k_lock;
+  double p_max;
+  double h;
+
+  void operator()(double& pu, double& pl) const {
+    const double saturation = std::max(0.0, 1.0 - (pu + pl) / p_max);
+    const double lock_flux = k_lock * pu * pu;
+    pu += h * (g * saturation - lock_flux);
+    pl += h * lock_flux;
+    pu = std::max(pu, 0.0);
+  }
+};
+
+/// Devices whose precursor chains run in lockstep (local arrays).
+constexpr std::size_t kChunk = 64;
 
 }  // namespace
 
@@ -26,58 +52,111 @@ CompactBti::CompactBti(CompactBtiParams params) : params_(params) {
 }
 
 void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
+  CompactBti* const self = this;
+  advance(prepare(params_, condition, dt), {&self, 1});
+}
+
+CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
+                                   const BtiCondition& condition,
+                                   Seconds dt) {
   DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
-  if (dt.value() == 0.0) return;
+  CompactBtiStep step;
+  if (dt.value() == 0.0) return step;
   const Kelvin t = to_kelvin(condition.temperature);
   const double v = condition.gate_bias.value();
 
   if (condition.is_stress()) {
+    step.kind = CompactBtiStep::Kind::kStress;
     const double af_t = arrhenius_acceleration(
-        params_.kinetics_ea, t, to_kelvin(params_.stress_ref.temperature));
+        params.kinetics_ea, t, to_kelvin(params.stress_ref.temperature));
     const double af_v =
-        std::exp((v - params_.stress_ref.gate_bias.value()) / params_.v0);
+        std::exp((v - params.stress_ref.gate_bias.value()) / params.v0);
     const double accel = af_t * af_v;
     // Saturation level scales strongly with overdrive (the trap ensemble
     // only fills up to a voltage-dependent energy cutoff; a cubic law
     // tracks the calibrated model well across 0.6-1.2 V).
     const double ratio =
-        std::max(0.1, v / params_.stress_ref.gate_bias.value());
+        std::max(0.1, v / params.stress_ref.gate_bias.value());
     const double sat_scale = ratio * ratio * ratio;
-    fast_ = relax(fast_, params_.fast_sat_v * sat_scale,
-                  params_.fast_tau_stress_s / accel, dt.value());
-    slow_ = relax(slow_, params_.slow_sat_v * sat_scale,
-                  params_.slow_tau_stress_s / accel, dt.value());
+    step.fast_target = params.fast_sat_v * sat_scale;
+    step.fast_decay =
+        relax_decay(params.fast_tau_stress_s / accel, dt.value());
+    step.slow_target = params.slow_sat_v * sat_scale;
+    step.slow_decay =
+        relax_decay(params.slow_tau_stress_s / accel, dt.value());
     // Permanent precursor generation + second-order locking. Generation
     // carries its own (stronger) voltage acceleration, mirroring the full
     // model's gen_v0.
-    const double g =
-        params_.gen_rate_ref_v_per_s *
-        arrhenius_acceleration(params_.gen_ea, t,
-                               to_kelvin(params_.stress_ref.temperature)) *
-        std::exp((v - params_.stress_ref.gate_bias.value()) /
-                 params_.gen_v0);
-    const int substeps =
+    step.gen_v_per_s =
+        params.gen_rate_ref_v_per_s *
+        arrhenius_acceleration(params.gen_ea, t,
+                               to_kelvin(params.stress_ref.temperature)) *
+        std::exp((v - params.stress_ref.gate_bias.value()) / params.gen_v0);
+    step.k_lock_per_v_s = params.k_lock_per_v_s;
+    step.p_max_v = params.p_max_v;
+    step.substeps =
         std::max(1, static_cast<int>(std::ceil(dt.value() / 300.0)));
-    const double h = dt.value() / substeps;
-    for (int s = 0; s < substeps; ++s) {
-      const double saturation =
-          std::max(0.0, 1.0 - (pu_ + pl_) / params_.p_max_v);
-      const double lock_flux = params_.k_lock_per_v_s * pu_ * pu_;
-      pu_ += h * (g * saturation - lock_flux);
-      pl_ += h * lock_flux;
-      pu_ = std::max(pu_, 0.0);
-    }
+    step.h = dt.value() / step.substeps;
   } else {
+    step.kind = CompactBtiStep::Kind::kRecover;
     const double af_t = arrhenius_acceleration(
-        params_.kinetics_ea, t, to_kelvin(params_.recover_ref.temperature));
-    const double v_ref = -params_.recover_ref.gate_bias.value();
-    const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / params_.v0);
+        params.kinetics_ea, t, to_kelvin(params.recover_ref.temperature));
+    const double v_ref = -params.recover_ref.gate_bias.value();
+    const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / params.v0);
     const double accel = af_t * af_v;
-    fast_ = relax(fast_, 0.0, params_.fast_tau_recover_s / accel, dt.value());
-    slow_ = relax(slow_, 0.0, params_.slow_tau_recover_s / accel, dt.value());
-    const double anneal = params_.anneal_rate_ref_per_s * accel;
-    pu_ *= std::exp(-dt.value() * anneal);
-    pl_ *= std::exp(-dt.value() * anneal * 1e-3);
+    step.fast_decay =
+        relax_decay(params.fast_tau_recover_s / accel, dt.value());
+    step.slow_decay =
+        relax_decay(params.slow_tau_recover_s / accel, dt.value());
+    const double anneal = params.anneal_rate_ref_per_s * accel;
+    step.pu_decay = std::exp(-dt.value() * anneal);
+    step.pl_decay = std::exp(-dt.value() * anneal * 1e-3);
+  }
+  return step;
+}
+
+void CompactBti::advance(const CompactBtiStep& step,
+                         std::span<CompactBti* const> devices) {
+  if (step.kind == CompactBtiStep::Kind::kNone) return;
+  for (CompactBti* const d : devices) {
+    d->fast_ = relax(d->fast_, step.fast_target, step.fast_decay);
+    d->slow_ = relax(d->slow_, step.slow_target, step.slow_decay);
+    d->pu_ *= step.pu_decay;  // both decays are exactly 1 under stress
+    d->pl_ *= step.pl_decay;
+  }
+  if (step.kind == CompactBtiStep::Kind::kRecover) return;
+  // Running a chunk of devices substep-major lets their independent
+  // precursor chains overlap and the inner loop vectorise; each device
+  // still sees exactly its own sequence of operations.
+  const PrecursorSubstep substep{step.gen_v_per_s, step.k_lock_per_v_s,
+                                 step.p_max_v, step.h};
+  double pu[kChunk];
+  double pl[kChunk];
+  for (std::size_t first = 0; first < devices.size(); first += kChunk) {
+    const std::span<CompactBti* const> chunk =
+        devices.subspan(first, std::min(kChunk, devices.size() - first));
+    const std::size_t n = chunk.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      pu[i] = chunk[i]->pu_;
+      pl[i] = chunk[i]->pl_;
+    }
+    if (n == 1) {
+      // A lone device (one core, one sensor) keeps its chain in
+      // registers rather than round-tripping it through the arrays.
+      double u = pu[0];
+      double l = pl[0];
+      for (int s = 0; s < step.substeps; ++s) substep(u, l);
+      pu[0] = u;
+      pl[0] = l;
+    } else {
+      for (int s = 0; s < step.substeps; ++s) {
+        for (std::size_t i = 0; i < n; ++i) substep(pu[i], pl[i]);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      chunk[i]->pu_ = pu[i];
+      chunk[i]->pl_ = pl[i];
+    }
   }
 }
 

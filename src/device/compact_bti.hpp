@@ -10,6 +10,8 @@
 // against the full ensemble is quantified by bench/ablation_compact_models.
 #pragma once
 
+#include <span>
+
 #include "device/bti_types.hpp"
 
 namespace dh::ckpt {
@@ -47,12 +49,49 @@ struct CompactBtiParams {
   double p_max_v = 0.040;
 };
 
+/// The coefficients of one advance under a fixed (params, condition, dt):
+/// pool targets and decays, and the precursor substep schedule. They do
+/// not depend on device state, so devices that share params compute them
+/// once (`CompactBti::prepare`) and advance as a batch.
+struct CompactBtiStep {
+  enum class Kind { kNone, kStress, kRecover };
+  Kind kind = Kind::kNone;  // kNone: dt == 0, the state is left as is
+  // Recoverable pools: x <- target + (x - target) * decay.
+  double fast_target = 0.0;
+  double fast_decay = 1.0;
+  double slow_target = 0.0;
+  double slow_decay = 1.0;
+  // Stress: `substeps` forward-Euler steps of length `h` of precursor
+  // generation (`gen_v_per_s` at zero occupancy) and locking.
+  double gen_v_per_s = 0.0;
+  double k_lock_per_v_s = 0.0;
+  double p_max_v = 0.0;
+  double h = 0.0;
+  int substeps = 0;
+  // Recovery: annealing factors of the unlocked and locked precursors.
+  double pu_decay = 1.0;
+  double pl_decay = 1.0;
+};
+
 class CompactBti {
  public:
   explicit CompactBti(CompactBtiParams params = {});
 
+  /// Advance this device by `dt` under `condition` (a batch of one).
   void apply(const BtiCondition& condition, Seconds dt);
   void reset();
+
+  /// Coefficients of `apply(condition, dt)` for devices with `params`.
+  [[nodiscard]] static CompactBtiStep prepare(const CompactBtiParams& params,
+                                              const BtiCondition& condition,
+                                              Seconds dt);
+
+  /// Apply `step` to each of `devices`: distinct devices whose params are
+  /// the ones `step` was prepared from. Each device ends bit-identical to
+  /// its own `apply`; the precursor substeps of up to 64 devices run in
+  /// lockstep, so their serial Euler chains overlap.
+  static void advance(const CompactBtiStep& step,
+                      std::span<CompactBti* const> devices);
 
   [[nodiscard]] Volts delta_vth() const;
   [[nodiscard]] BtiBreakdown breakdown() const;

@@ -26,23 +26,44 @@ void SramArray::step(Celsius temperature, Seconds dt,
              "boost fraction must be in [0,1]");
   const Seconds hold{dt.value() * (1.0 - boost_fraction)};
   const Seconds boost{dt.value() * boost_fraction};
-  // Data re-randomization stays serial (one shared stream, draw order is
-  // part of the array's deterministic behaviour); the per-cell aging
-  // physics is independent and runs over the pool.
+  // Data re-randomization draws from one shared stream; draw order is
+  // part of the array's deterministic behaviour.
   if (params_.pattern == DataPattern::kFlipping) {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       bits_[i] = rng_.bernoulli(params_.p_one);
     }
   }
-  parallel_for(cells_.size(), [&](std::size_t i) {
-    if (hold.value() > 0.0) {
-      cells_[i].step(CellMode::kHold, bits_[i], temperature, hold);
+  // The PMOS devices of all cells share params, so a phase is one batch
+  // per condition: the stressed and the resting pull-ups while holding,
+  // then every pull-up during the boost. A whole day's batches cost less
+  // than one pool job, so they run serially.
+  using device::CompactBti;
+  const SramCellParams& cp = params_.cell;
+  std::vector<CompactBti*> batch;
+  batch.reserve(2 * cells_.size());
+  if (hold.value() > 0.0) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      batch.push_back(&cells_[i].stressed_pmos(bits_[i]));
     }
-    if (boost.value() > 0.0) {
-      cells_[i].step(CellMode::kRecoveryBoost, bits_[i], temperature,
-                     boost);
+    CompactBti::advance(
+        CompactBti::prepare(cp.bti, {cp.vdd, temperature}, hold), batch);
+    batch.clear();
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      batch.push_back(&cells_[i].resting_pmos(bits_[i]));
     }
-  });
+    CompactBti::advance(
+        CompactBti::prepare(cp.bti, {Volts{0.0}, temperature}, hold), batch);
+    batch.clear();
+  }
+  if (boost.value() > 0.0) {
+    for (SramCell& c : cells_) {
+      batch.push_back(&c.left_pmos_);
+      batch.push_back(&c.right_pmos_);
+    }
+    CompactBti::advance(
+        CompactBti::prepare(cp.bti, {cp.recovery_bias, temperature}, boost),
+        batch);
+  }
 }
 
 SramArrayHealth SramArray::scan_health() const {

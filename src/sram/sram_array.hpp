@@ -35,7 +35,8 @@ class SramArray {
   explicit SramArray(SramArrayParams params);
 
   /// Advance the whole array: `boost_fraction` of the quantum is spent in
-  /// recovery boost (cells idle), the rest holding data.
+  /// recovery boost (cells idle), the rest holding data. Equal, bit for
+  /// bit, to `SramCell::step` on each cell (hold, then boost).
   void step(Celsius temperature, Seconds dt, double boost_fraction = 0.0);
 
   /// Full-accuracy health scan (computes every cell's SNM; O(cells)

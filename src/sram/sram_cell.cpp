@@ -24,8 +24,8 @@ void SramCell::step(CellMode mode, bool stored_bit, Celsius temperature,
       // The PMOS on the "1" side conducts: |Vsg| = VDD (NBTI stress).
       const device::BtiCondition stressed{params_.vdd, temperature};
       const device::BtiCondition resting{Volts{0.0}, temperature};
-      left_pmos_.apply(stored_bit ? stressed : resting, dt);
-      right_pmos_.apply(stored_bit ? resting : stressed, dt);
+      stressed_pmos(stored_bit).apply(stressed, dt);
+      resting_pmos(stored_bit).apply(resting, dt);
       break;
     }
     case CellMode::kRecoveryBoost: {
@@ -71,18 +71,22 @@ std::vector<double> inverter_vtc(const SramCellParams& params,
 
 namespace {
 
-/// Inverts a monotonically *decreasing* tabulated VTC: returns y with
-/// f(y) = x (clamped).
-double invert_decreasing(const std::vector<double>& xs,
-                         const std::vector<double>& fs, double target) {
+/// Inverse of a monotonically *decreasing* tabulated VTC: interpolating
+/// `x` over `f` gives y with f(y) = x (clamped).
+struct InverseVtc {
+  std::vector<double> f;  // reversed, forced strictly increasing
+  std::vector<double> x;
+};
+
+InverseVtc invert_decreasing(const std::vector<double>& xs,
+                             const std::vector<double>& fs) {
   // Reverse so the table is increasing in f.
-  std::vector<double> f_rev(fs.rbegin(), fs.rend());
-  std::vector<double> x_rev(xs.rbegin(), xs.rend());
+  InverseVtc inv{{fs.rbegin(), fs.rend()}, {xs.rbegin(), xs.rend()}};
   // Enforce strictly increasing f for the interpolator.
-  for (std::size_t i = 1; i < f_rev.size(); ++i) {
-    if (f_rev[i] <= f_rev[i - 1]) f_rev[i] = f_rev[i - 1] + 1e-12;
+  for (std::size_t i = 1; i < inv.f.size(); ++i) {
+    if (inv.f[i] <= inv.f[i - 1]) inv.f[i] = inv.f[i - 1] + 1e-12;
   }
-  return math::interp_linear(f_rev, x_rev, target);
+  return inv;
 }
 
 /// Largest square of side s that fits in the lobe where curve A
@@ -93,11 +97,12 @@ double lobe_square(const std::vector<double>& vin,
                    const std::vector<double>& f_a,
                    const std::vector<double>& f_b) {
   const double vmax = vin.back();
+  const InverseVtc inv_b = invert_decreasing(vin, f_b);
   auto fits = [&](double s) {
     for (int k = 0; k <= 160; ++k) {
       const double x = (vmax - s) * k / 160.0;
       const double top = math::interp_linear(vin, f_a, x + s);
-      const double bottom = invert_decreasing(vin, f_b, x);
+      const double bottom = math::interp_linear(inv_b.f, inv_b.x, x);
       if (top - bottom >= s) return true;
     }
     return false;

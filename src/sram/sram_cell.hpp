@@ -58,6 +58,19 @@ class SramCell {
   [[nodiscard]] const SramCellParams& params() const { return params_; }
 
  private:
+  // The array advances its cells' PMOS devices as batches that share a
+  // condition (bit-identical to stepping each cell).
+  friend class SramArray;
+
+  /// The pull-up that conducts, and so is under NBTI stress, while the
+  /// cell holds `stored_bit`; the other one rests.
+  device::CompactBti& stressed_pmos(bool stored_bit) {
+    return stored_bit ? left_pmos_ : right_pmos_;
+  }
+  device::CompactBti& resting_pmos(bool stored_bit) {
+    return stored_bit ? right_pmos_ : left_pmos_;
+  }
+
   SramCellParams params_;
   device::CompactBti left_pmos_;   // drives node Q high (stressed when Q=1)
   device::CompactBti right_pmos_;  // drives node Qb high (stressed when Q=0)

@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/arrhenius.hpp"
+#include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 
@@ -108,6 +116,169 @@ TEST(CompactBti, NegativeDtThrows) {
   CompactBti m{};
   EXPECT_THROW(m.apply(paper_conditions::recovery_no1(), Seconds{-5.0}),
                Error);
+}
+
+// --- Batched advance -------------------------------------------------------
+
+/// Exact pool state (the checkpoint image), for bit-for-bit comparisons.
+std::vector<std::uint8_t> state_bytes(const CompactBti& m) {
+  ckpt::Serializer s;
+  m.save_state(s);
+  return s.take();
+}
+
+/// Stress, passive recovery or active recovery, at a random temperature.
+BtiCondition random_condition(Rng& rng) {
+  const Celsius t{rng.uniform(20.0, 125.0)};
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      return {Volts{rng.uniform(0.5, 1.3)}, t};
+    case 1:
+      return {Volts{0.0}, t};
+    default:
+      return {Volts{-rng.uniform(0.05, 0.4)}, t};
+  }
+}
+
+/// From under one precursor substep to a few days.
+Seconds random_dt(Rng& rng) { return Seconds{std::exp(rng.uniform(0.0, 13.0))}; }
+
+/// The model's update for one device, written out directly without the
+/// prepare/advance split: the oracle the batched kernel must reproduce
+/// bit for bit.
+struct ScalarBti {
+  CompactBtiParams p;
+  double fast = 0.0, slow = 0.0, pu = 0.0, pl = 0.0;
+
+  static double relax(double x, double target, double tau, double dt) {
+    if (tau <= 0.0) return target;
+    return target + (x - target) * std::exp(-dt / tau);
+  }
+
+  void apply(const BtiCondition& c, Seconds dt) {
+    if (dt.value() == 0.0) return;
+    const Kelvin t = to_kelvin(c.temperature);
+    const double v = c.gate_bias.value();
+    if (c.is_stress()) {
+      const double accel =
+          arrhenius_acceleration(p.kinetics_ea, t,
+                                 to_kelvin(p.stress_ref.temperature)) *
+          std::exp((v - p.stress_ref.gate_bias.value()) / p.v0);
+      const double ratio = std::max(0.1, v / p.stress_ref.gate_bias.value());
+      const double sat_scale = ratio * ratio * ratio;
+      fast = relax(fast, p.fast_sat_v * sat_scale, p.fast_tau_stress_s / accel,
+                   dt.value());
+      slow = relax(slow, p.slow_sat_v * sat_scale, p.slow_tau_stress_s / accel,
+                   dt.value());
+      const double g =
+          p.gen_rate_ref_v_per_s *
+          arrhenius_acceleration(p.gen_ea, t,
+                                 to_kelvin(p.stress_ref.temperature)) *
+          std::exp((v - p.stress_ref.gate_bias.value()) / p.gen_v0);
+      const int substeps =
+          std::max(1, static_cast<int>(std::ceil(dt.value() / 300.0)));
+      const double h = dt.value() / substeps;
+      for (int s = 0; s < substeps; ++s) {
+        const double saturation = std::max(0.0, 1.0 - (pu + pl) / p.p_max_v);
+        const double lock_flux = p.k_lock_per_v_s * pu * pu;
+        pu += h * (g * saturation - lock_flux);
+        pl += h * lock_flux;
+        pu = std::max(pu, 0.0);
+      }
+    } else {
+      const double v_ref = -p.recover_ref.gate_bias.value();
+      const double accel =
+          arrhenius_acceleration(p.kinetics_ea, t,
+                                 to_kelvin(p.recover_ref.temperature)) *
+          std::exp((std::max(-v, 0.0) - v_ref) / p.v0);
+      fast = relax(fast, 0.0, p.fast_tau_recover_s / accel, dt.value());
+      slow = relax(slow, 0.0, p.slow_tau_recover_s / accel, dt.value());
+      const double anneal = p.anneal_rate_ref_per_s * accel;
+      pu *= std::exp(-dt.value() * anneal);
+      pl *= std::exp(-dt.value() * anneal * 1e-3);
+    }
+  }
+};
+
+void expect_same_as_oracle(const CompactBti& m, const ScalarBti& o) {
+  const BtiBreakdown b = m.breakdown();
+  EXPECT_EQ(b.recoverable.value(), o.fast + o.slow);
+  EXPECT_EQ(b.unlocked.value(), o.pu);
+  EXPECT_EQ(b.locked.value(), o.pl);
+}
+
+TEST(CompactBtiBatch, ApplyMatchesScalarOracleBitForBit) {
+  Rng rng{7};
+  CompactBti m{};
+  ScalarBti oracle;
+  for (int k = 0; k < 400; ++k) {
+    const BtiCondition c = random_condition(rng);
+    const Seconds dt = random_dt(rng);
+    m.apply(c, dt);
+    oracle.apply(c, dt);
+    expect_same_as_oracle(m, oracle);
+  }
+  EXPECT_GT(m.breakdown().locked.value(), 0.0);
+}
+
+TEST(CompactBtiBatch, AdvanceMatchesPerDeviceApplyBitForBit) {
+  CompactBtiParams hot;  // a second param set: faster, lower-ceiling pools
+  hot.fast_tau_stress_s = 120.0;
+  hot.gen_rate_ref_v_per_s = 9e-7;
+  hot.p_max_v = 0.02;
+  Rng rng{2026};
+  for (const CompactBtiParams& params : {CompactBtiParams{}, hot}) {
+    // One device, one full chunk, a chunk plus a lone device, and many
+    // chunks plus a partial one.
+    for (const std::size_t n : {1u, 64u, 65u, 1000u}) {
+      std::vector<CompactBti> batched(n, CompactBti{params});
+      // Distinct random histories, so the lockstep lanes differ.
+      for (CompactBti& d : batched) {
+        for (int k = 0; k < 3; ++k) d.apply(random_condition(rng), random_dt(rng));
+      }
+      std::vector<CompactBti> reference = batched;
+      std::vector<CompactBti*> devices;
+      for (CompactBti& d : batched) devices.push_back(&d);
+      for (int round = 0; round < 12; ++round) {
+        const BtiCondition c = random_condition(rng);
+        const Seconds dt = random_dt(rng);
+        CompactBti::advance(CompactBti::prepare(params, c, dt), devices);
+        for (CompactBti& d : reference) d.apply(c, dt);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(state_bytes(batched[i]), state_bytes(reference[i]))
+              << "n=" << n << " round=" << round << " device=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(CompactBtiBatch, ZeroDtLeavesStateUntouched) {
+  std::vector<CompactBti> devices(3);
+  for (CompactBti& d : devices) {
+    d.apply(paper_conditions::accelerated_stress(), hours(5.0));
+  }
+  const std::vector<std::uint8_t> before = state_bytes(devices[0]);
+  std::vector<CompactBti*> ptrs{&devices[0], &devices[1], &devices[2]};
+  for (const BtiCondition& c :
+       {paper_conditions::accelerated_stress(),
+        paper_conditions::recovery_no1(), paper_conditions::recovery_no4()}) {
+    const CompactBtiStep step = CompactBti::prepare({}, c, Seconds{0.0});
+    EXPECT_EQ(step.kind, CompactBtiStep::Kind::kNone);
+    CompactBti::advance(step, ptrs);
+    devices[0].apply(c, Seconds{0.0});
+    for (const CompactBti& d : devices) EXPECT_EQ(state_bytes(d), before);
+  }
+}
+
+TEST(CompactBtiBatch, NegativeDtThrowsFromPrepare) {
+  EXPECT_THROW((void)CompactBti::prepare(
+                   {}, paper_conditions::accelerated_stress(), Seconds{-1.0}),
+               Error);
+  EXPECT_THROW(
+      (void)CompactBti::prepare({}, paper_conditions::recovery_no2(),
+                                Seconds{-1e-9}),
+      Error);
 }
 
 }  // namespace

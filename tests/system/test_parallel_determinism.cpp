@@ -79,7 +79,7 @@ TEST_F(ParallelDeterminism, SramScanBitIdenticalAcrossThreadCounts) {
     sram::SramArrayParams p;
     p.cells = 48;
     sram::SramArray array{p};
-    // Age the array (stepping itself is pool-parallel too).
+    // Age the array (stepping is serial; the scan fans out).
     for (int q = 0; q < 4; ++q) {
       array.step(Celsius{85.0}, hours(500.0), q % 2 == 0 ? 0.0 : 0.2);
     }

@@ -2,13 +2,97 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/math/interp.hpp"
+#include "common/rng.hpp"
 
 namespace dh::sram {
 namespace {
 
 SramCell make_cell() { return SramCell{SramCellParams{}}; }
+
+// The SNM search with the VTC inverted afresh at every probe, the direct
+// form of the algorithm: snm_from_vtcs, which inverts once per lobe, must
+// reproduce it bit for bit.
+double oracle_invert_decreasing(const std::vector<double>& xs,
+                                const std::vector<double>& fs,
+                                double target) {
+  std::vector<double> f_rev(fs.rbegin(), fs.rend());
+  std::vector<double> x_rev(xs.rbegin(), xs.rend());
+  for (std::size_t i = 1; i < f_rev.size(); ++i) {
+    if (f_rev[i] <= f_rev[i - 1]) f_rev[i] = f_rev[i - 1] + 1e-12;
+  }
+  return math::interp_linear(f_rev, x_rev, target);
+}
+
+double oracle_lobe_square(const std::vector<double>& vin,
+                          const std::vector<double>& f_a,
+                          const std::vector<double>& f_b) {
+  const double vmax = vin.back();
+  auto fits = [&](double s) {
+    for (int k = 0; k <= 160; ++k) {
+      const double x = (vmax - s) * k / 160.0;
+      const double top = math::interp_linear(vin, f_a, x + s);
+      const double bottom = oracle_invert_decreasing(vin, f_b, x);
+      if (top - bottom >= s) return true;
+    }
+    return false;
+  };
+  double lo = 0.0;
+  double hi = vmax;
+  if (!fits(1e-6)) return 0.0;
+  for (int iter = 0; iter < 40; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (fits(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+double oracle_snm(const std::vector<double>& vin,
+                  const std::vector<double>& vtc1,
+                  const std::vector<double>& vtc2) {
+  return std::min(oracle_lobe_square(vin, vtc1, vtc2),
+                  oracle_lobe_square(vin, vtc2, vtc1));
+}
+
+TEST(SramSnm, MatchesPerProbeInversionOracle) {
+  const SramCellParams p;
+  const auto vin = math::linspace(0.0, p.vdd.value(), 41);
+  const double shifts[][2] = {
+      {0.0, 0.0}, {0.03, 0.0}, {0.0, 0.045}, {0.061, 0.008}, {0.02, 0.02}};
+  for (const auto& dv : shifts) {
+    const auto f1 = inverter_vtc(p, Volts{dv[0]}, Volts{0.0}, vin);
+    const auto f2 = inverter_vtc(p, Volts{dv[1]}, Volts{0.0}, vin);
+    EXPECT_EQ(snm_from_vtcs(vin, f1, f2), oracle_snm(vin, f1, f2))
+        << "dvth " << dv[0] << " / " << dv[1];
+  }
+  // Flat stretches exercise the strictly-increasing repair of the table:
+  // random decreasing staircases on eighths, which the dyadic probes of
+  // the bisection hit exactly.
+  const auto grid = math::linspace(0.0, 1.0, 41);
+  Rng rng{5};
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> a(grid.size());
+    std::vector<double> b(grid.size());
+    int level_a = 8;
+    int level_b = 8;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (rng.bernoulli(0.3)) level_a = std::max(0, level_a - 1);
+      if (rng.bernoulli(0.3)) level_b = std::max(0, level_b - 1);
+      a[i] = level_a / 8.0;
+      b[i] = level_b / 8.0;
+    }
+    EXPECT_EQ(snm_from_vtcs(grid, a, b), oracle_snm(grid, a, b))
+        << "trial " << trial;
+  }
+}
 
 TEST(SramSnm, FreshCellInPhysicalRange) {
   const SramCell cell = make_cell();
@@ -104,6 +188,61 @@ TEST(SramArrayAging, BoostScheduleBeatsFlipping) {
             unprotected.worst_cell_health().worst_snm.value());
   EXPECT_LT(boosted.worst_cell_health().worst_pmos_dvth.value(),
             unprotected.worst_cell_health().worst_pmos_dvth.value());
+}
+
+TEST(SramArrayAging, StepMatchesPerCellReferenceBitForBit) {
+  // SramArray::step advances its devices in batches; it must equal a plain
+  // loop of SramCell::step over the same data stream, bit for bit.
+  struct Strategy {
+    DataPattern pattern;
+    double boost_fraction;
+  };
+  const Strategy strategies[] = {{DataPattern::kStatic, 0.0},
+                                 {DataPattern::kFlipping, 0.0},
+                                 {DataPattern::kStatic, 0.10},
+                                 {DataPattern::kFlipping, 0.10}};
+  const Celsius temp{95.0};
+  for (const Strategy& s : strategies) {
+    SramArrayParams p;
+    p.cells = 64;
+    p.pattern = s.pattern;
+    p.seed = 11;
+    SramArray array{p};
+    // The reference replays the array's data stream on loose cells.
+    Rng rng{p.seed};
+    std::vector<SramCell> cells(p.cells, SramCell{p.cell});
+    std::vector<bool> bits;
+    for (std::size_t i = 0; i < p.cells; ++i) {
+      bits.push_back(rng.bernoulli(p.p_one));
+    }
+    const Seconds dt = hours(24.0);
+    const Seconds hold{dt.value() * (1.0 - s.boost_fraction)};
+    const Seconds boost{dt.value() * s.boost_fraction};
+    for (int day = 0; day < 30; ++day) {
+      array.step(temp, dt, s.boost_fraction);
+      if (p.pattern == DataPattern::kFlipping) {
+        for (std::size_t i = 0; i < p.cells; ++i) {
+          bits[i] = rng.bernoulli(p.p_one);
+        }
+      }
+      for (std::size_t i = 0; i < p.cells; ++i) {
+        if (hold.value() > 0.0) {
+          cells[i].step(CellMode::kHold, bits[i], temp, hold);
+        }
+        if (boost.value() > 0.0) {
+          cells[i].step(CellMode::kRecoveryBoost, bits[i], temp, boost);
+        }
+      }
+      for (std::size_t i = 0; i < p.cells; ++i) {
+        ASSERT_EQ(array.cell(i).left_pmos_dvth().value(),
+                  cells[i].left_pmos_dvth().value())
+            << "day " << day << " cell " << i;
+        ASSERT_EQ(array.cell(i).right_pmos_dvth().value(),
+                  cells[i].right_pmos_dvth().value())
+            << "day " << day << " cell " << i;
+      }
+    }
+  }
 }
 
 TEST(SramArrayAging, ScanAndProxyAgree) {
