@@ -2,15 +2,7 @@
 // (wide, thick top metals) is robust against EM while the local grids
 // (thin lower metals, high current density) are the hazard the assist
 // circuitry must protect.
-//
-// The local-mesh dimensions are configurable — `--rows=N` / `--cols=N`
-// on the command line, or the DH_PDN_ROWS / DH_PDN_COLS environment
-// variables (CLI wins) — so the same binary can exercise the banded
-// direct path (default 8x8) or the IC(0)-CG path (e.g. --rows=64
-// --cols=64) of the sparse solver engine.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -18,37 +10,9 @@
 #include "em/em_sensor.hpp"
 #include "pdn/aging_pdn.hpp"
 
-namespace {
-
-std::size_t dim_option(int argc, char** argv, const char* cli_prefix,
-                       const char* env_name, std::size_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], cli_prefix, std::strlen(cli_prefix)) == 0) {
-      const long v = std::atol(argv[i] + std::strlen(cli_prefix));
-      if (v > 0) return static_cast<std::size_t>(v);
-      std::fprintf(stderr, "ignoring %s (need a positive integer)\n",
-                   argv[i]);
-    }
-  }
-  if (const char* env = std::getenv(env_name)) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-    std::fprintf(stderr, "ignoring %s=%s (need a positive integer)\n",
-                 env_name, env);
-  }
-  return fallback;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace dh;
   using namespace dh::em;
-
-  const std::size_t mesh_rows =
-      dim_option(argc, argv, "--rows=", "DH_PDN_ROWS", 8);
-  const std::size_t mesh_cols =
-      dim_option(argc, argv, "--cols=", "DH_PDN_COLS", 8);
 
   std::printf("== Fig. 11: global vs local PDN layers as EM hazards ==\n\n");
 
@@ -109,14 +73,10 @@ int main(int argc, char** argv) {
       "local grids and protects the latter.\n\n");
 
   // Show the protection on an actual local mesh.
-  pdn::PdnParams mesh_params;
-  mesh_params.rows = mesh_rows;
-  mesh_params.cols = mesh_cols;
+  const pdn::PdnParams mesh_params{};
   std::printf(
-      "local %zux%zu mesh (engine: %s), hot accelerated corner "
-      "(compressed test):\n",
-      mesh_rows, mesh_cols,
-      to_string(pdn::PdnGrid{mesh_params}.solver_method()));
+      "local %zux%zu mesh, hot accelerated corner (compressed test):\n",
+      mesh_params.rows, mesh_params.cols);
   const auto run = [&](bool protect) {
     pdn::AgingPdn pdn{mesh_params, mat};
     const std::vector<double> loads(pdn.grid().node_count(), 0.003);

@@ -2,8 +2,7 @@
 // performance regressions are caught alongside the physics.
 //
 // Before the google-benchmark suite runs, a wall-clock section times the
-// parallel-execution layer (serial vs pool) and the cached PDN solver
-// (cached vs fresh dense solve) and writes the numbers to
+// parallel-execution layer (serial vs pool) and writes the numbers to
 // BENCH_parallel.json (routed through obs::json_output_path, so
 // DH_BENCH_DIR controls where results land), so future PRs can track the
 // throughput trajectory machine-readably. A second section prices the
@@ -145,34 +144,16 @@ BENCHMARK(BM_PdnDenseSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
 void BM_PdnSparseSolve(benchmark::State& state) {
   pdn::PdnParams p;
   p.rows = p.cols = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> loads(p.rows * p.cols, 0.002);
+  const pdn::PdnGrid grid{p};
+  const std::vector<double> loads(grid.node_count(), 0.002);
+  const auto r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto _ : state) {
-    state.PauseTiming();
-    const pdn::PdnGrid grid{p};  // fresh cache: time factor + solve
-    const auto r = grid.fresh_segment_resistances(Celsius{85.0});
-    state.ResumeTiming();
     benchmark::DoNotOptimize(grid.solve(loads, r));
   }
-  state.SetComplexityN(static_cast<std::int64_t>(p.rows * p.cols));
+  state.SetComplexityN(static_cast<std::int64_t>(grid.node_count()));
 }
 BENCHMARK(BM_PdnSparseSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond)->Complexity();
-
-// The cached solver on a slowly drifting grid (EM-like aging): most
-// iterations are back-substitutions plus a few refinement sweeps.
-void BM_PdnIrSolveCached(benchmark::State& state) {
-  pdn::PdnParams p;
-  p.rows = static_cast<std::size_t>(state.range(0));
-  p.cols = p.rows;
-  const pdn::PdnGrid grid{p};
-  const std::vector<double> loads(grid.node_count(), 0.002);
-  auto r = grid.fresh_segment_resistances(Celsius{85.0});
-  for (auto _ : state) {
-    for (double& x : r) x *= 1.0 + 1e-5;  // slow EM drift
-    benchmark::DoNotOptimize(grid.solve(loads, r));
-  }
-}
-BENCHMARK(BM_PdnIrSolveCached)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   std::vector<double> out(1024, 0.0);
@@ -233,8 +214,7 @@ double em_population_member(std::size_t i) {
   return em.broken() ? elapsed : horizon;
 }
 
-/// Times the parallel layer and the cached PDN solver, writes
-/// BENCH_parallel.json. Runs before the google-benchmark suite so the
+/// Times the parallel layer, writes BENCH_parallel.json. Runs before the google-benchmark suite so the
 /// file is emitted even under a --benchmark_filter that excludes all.
 void write_parallel_json() {
   const std::size_t threads = global_thread_count();
@@ -270,29 +250,6 @@ void write_parallel_json() {
       serial_h.worst_snm.value() == parallel_h.worst_snm.value() &&
       serial_h.mean_snm.value() == parallel_h.mean_snm.value();
 
-  // 3. PDN aging-style solve sequence: fresh dense solve every step vs
-  // the drift-tolerance LU cache.
-  pdn::PdnParams pp;
-  pp.rows = pp.cols = 16;
-  const pdn::PdnGrid grid{pp};
-  const std::vector<double> loads(grid.node_count(), 0.002);
-  constexpr int kSteps = 200;
-  const double uncached_ms = wall_ms([&] {
-    auto r = grid.fresh_segment_resistances(Celsius{85.0});
-    for (int s = 0; s < kSteps; ++s) {
-      for (double& x : r) x *= 1.0 + 2e-5;
-      benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
-    }
-  });
-  const double cached_ms = wall_ms([&] {
-    auto r = grid.fresh_segment_resistances(Celsius{85.0});
-    for (int s = 0; s < kSteps; ++s) {
-      for (double& x : r) x *= 1.0 + 2e-5;
-      benchmark::DoNotOptimize(grid.solve(loads, r));
-    }
-  });
-  const auto& st = grid.solve_stats();
-
   std::ostringstream json;
   json << "{\n";
   json << "  \"threads\": " << threads << ",\n";
@@ -308,24 +265,15 @@ void write_parallel_json() {
        << (sram_parallel_ms > 0.0 ? sram_serial_ms / sram_parallel_ms
                                   : 0.0)
        << ", \"bit_identical\": " << (sram_identical ? "true" : "false")
-       << "},\n";
-  json << "  \"pdn_solve\": {\"nodes\": " << grid.node_count()
-       << ", \"steps\": " << kSteps << ", \"uncached_ms\": " << uncached_ms
-       << ", \"cached_ms\": " << cached_ms << ", \"speedup\": "
-       << (cached_ms > 0.0 ? uncached_ms / cached_ms : 0.0)
-       << ", \"factorizations\": " << st.factorizations
-       << ", \"refinement_iterations\": " << st.refinement_iterations
        << "}\n";
   json << "}\n";
   obs::write_file_atomic(obs::json_output_path("BENCH_parallel.json"),
                          json.str());
   std::printf(
       "BENCH_parallel.json written: %zu thread(s); em %.0f/%.0f ms, "
-      "sram %.0f/%.0f ms, pdn %.0f/%.0f ms (%zu factorizations in %d "
-      "cached steps)\n",
+      "sram %.0f/%.0f ms\n",
       threads, em_serial_ms, em_parallel_ms, sram_serial_ms,
-      sram_parallel_ms, uncached_ms, cached_ms, st.factorizations,
-      kSteps);
+      sram_parallel_ms);
 }
 
 /// Prices the observability layer at the record-call level (counter add,
@@ -423,19 +371,19 @@ void write_obs_kernels_json() {
 /// Dense-LU vs sparse-engine scaling curve for the PDN IR solve at
 /// n in {64, 256, 1024, 4096} nodes, written to BENCH_sparse.json. Each
 /// row times: the from-scratch dense reference (solve_uncached), a cold
-/// sparse solve (CSR assembly + factorization + solve), and the
-/// steady-state cached sparse solve under slow EM drift — plus which
-/// engine ran and how many CG iterations it spent. The acceptance bar is
-/// the 64x64 row: cold sparse must beat dense by >= 10x.
+/// sparse solve (fresh grid: CSR assembly + factorization + solve), and
+/// a warm sparse solve (the same work on a grid that has solved before,
+/// under slow EM drift) — plus how many refinement CG iterations the
+/// solves spent. The acceptance bar is the 64x64 row: cold sparse must
+/// beat dense by >= 10x.
 void write_sparse_json() {
   struct Row {
     std::size_t side = 0;
     std::size_t nodes = 0;
     double dense_ms = 0.0;
     double sparse_cold_ms = 0.0;
-    double sparse_cached_ms = 0.0;
+    double sparse_warm_ms = 0.0;
     double speedup_cold = 0.0;
-    const char* method = "";
     std::size_t cg_iterations = 0;
   };
   std::vector<Row> rows;
@@ -469,19 +417,18 @@ void write_sparse_json() {
                          sparse_reps;
 
     auto drift_r = r;
-    (void)grid.solve(loads, drift_r);  // warm the cache
-    constexpr int kCachedReps = 50;
-    row.sparse_cached_ms = wall_ms([&] {
-                             for (int i = 0; i < kCachedReps; ++i) {
-                               for (double& x : drift_r) x *= 1.0 + 1e-5;
-                               benchmark::DoNotOptimize(
-                                   grid.solve(loads, drift_r));
-                             }
-                           }) /
-                           kCachedReps;
+    (void)grid.solve(loads, drift_r);  // warm up
+    constexpr int kWarmReps = 50;
+    row.sparse_warm_ms = wall_ms([&] {
+                           for (int i = 0; i < kWarmReps; ++i) {
+                             for (double& x : drift_r) x *= 1.0 + 1e-5;
+                             benchmark::DoNotOptimize(
+                                 grid.solve(loads, drift_r));
+                           }
+                         }) /
+                         kWarmReps;
     row.speedup_cold =
         row.sparse_cold_ms > 0.0 ? row.dense_ms / row.sparse_cold_ms : 0.0;
-    row.method = to_string(grid.solver_method());
     row.cg_iterations = grid.solve_stats().cg_iterations;
     rows.push_back(row);
   }
@@ -491,10 +438,10 @@ void write_sparse_json() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     json << "    {\"grid\": \"" << row.side << "x" << row.side
-         << "\", \"nodes\": " << row.nodes << ", \"method\": \""
-         << row.method << "\", \"dense_ms\": " << row.dense_ms
+         << "\", \"nodes\": " << row.nodes
+         << ", \"dense_ms\": " << row.dense_ms
          << ", \"sparse_cold_ms\": " << row.sparse_cold_ms
-         << ", \"sparse_cached_ms\": " << row.sparse_cached_ms
+         << ", \"sparse_warm_ms\": " << row.sparse_warm_ms
          << ", \"speedup_cold\": " << row.speedup_cold
          << ", \"cg_iterations\": " << row.cg_iterations << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -504,10 +451,10 @@ void write_sparse_json() {
                          json.str());
   for (const Row& row : rows) {
     std::printf(
-        "BENCH_sparse %2zux%-2zu (%4zu nodes, %-15s): dense %9.3f ms, "
-        "sparse cold %7.3f ms (%.0fx), cached %7.3f ms, cg_iters %zu\n",
-        row.side, row.side, row.nodes, row.method, row.dense_ms,
-        row.sparse_cold_ms, row.speedup_cold, row.sparse_cached_ms,
+        "BENCH_sparse %2zux%-2zu (%4zu nodes): dense %9.3f ms, "
+        "sparse cold %7.3f ms (%.0fx), warm %7.3f ms, cg_iters %zu\n",
+        row.side, row.side, row.nodes, row.dense_ms, row.sparse_cold_ms,
+        row.speedup_cold, row.sparse_warm_ms,
         row.cg_iterations);
   }
 }

@@ -24,7 +24,9 @@
 
 namespace dh::ckpt {
 
-inline constexpr std::uint32_t kSchemaVersion = 1;
+/// 2: the PDN section holds solve counters only (no cached factor) and
+/// the thermal section no rescue flags; version-1 files are refused.
+inline constexpr std::uint32_t kSchemaVersion = 2;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 struct SnapshotHeader {

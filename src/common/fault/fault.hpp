@@ -1,10 +1,10 @@
 // Deterministic, seed-driven fault injection.
 //
 // Production code asks `fault::should_inject("site.name")` at the places
-// where the real world can fail — a solver that stagnates, a trace file
-// hitting EIO, a sensor returning garbage. With no faults configured the
-// call is a single relaxed atomic load (the same discipline as
-// obs::enabled()), so shipping the probes costs nothing.
+// where the real world can fail — a trace file hitting EIO, a bench
+// artifact that cannot be published, a sensor returning garbage. With no
+// faults configured the call is a single relaxed atomic load (the same
+// discipline as obs::enabled()), so shipping the probes costs nothing.
 //
 // Faults are configured by spec string, either programmatically
 // (fault::configure) or from the DH_FAULTS environment variable:
@@ -12,7 +12,7 @@
 //   DH_FAULTS="site:prob:count[,site:prob:count...]"
 //   DH_FAULT_SEED=12345        (optional; default 0xDEADF417)
 //
-//   solver.cg_stagnate:0.5:2   - inject at site "solver.cg_stagnate"
+//   sensor.outlier:0.5:2       - inject at site "sensor.outlier"
 //                                with probability 0.5 per attempt, at
 //                                most 2 times
 //   sensor.nan:1:1             - fire on the first attempt, once

@@ -1,9 +1,8 @@
 // Preconditioned conjugate gradients for the SPD systems in the healing
-// stack (conductance Laplacians, thermal RC grids). The operator is a
-// callback, not a matrix: the PDN drift-refinement path applies the *true*
-// (aged) conductances matrix-free while preconditioning with a stale
-// factorization, mirroring the dense cache's stale-LU iterative
-// refinement.
+// stack (conductance Laplacians, thermal RC grids). SpdSolver uses it as
+// iterative refinement: CG on A, preconditioned by A's own direct factor,
+// closes the rounding gap one back-substitution leaves on ill-conditioned
+// systems. The operator is a callback, not a matrix.
 #pragma once
 
 #include <cstddef>
@@ -36,18 +35,13 @@ class IdentityPreconditioner final : public Preconditioner {
 
 struct CgOptions {
   /// Converged when ||r||_2 <= rel_tolerance * ||b||_2 (plus a tiny
-  /// absolute floor so b = 0 returns x = 0 immediately). 1e-13 sits just
-  /// above the double-precision rounding floor of IC(0)-CG on the large
-  /// (64x64+) grids — tight enough for 1e-10 sparse-vs-dense agreement,
-  /// loose enough to be reachable instead of stagnating below target.
+  /// absolute floor so b = 0 returns x = 0 immediately).
   double rel_tolerance = 1e-13;
   /// 0 = automatic: 10 n + 200. CG in exact arithmetic needs <= n.
   std::size_t max_iterations = 0;
   /// Abort early when the residual has not improved by at least 1% over
   /// this many iterations (rounding floor reached); the best iterate so
-  /// far is returned. 0 disables. Systems that plateau here and stay
-  /// above the caller's acceptance bound escalate to a direct rescue in
-  /// SpdSolver rather than burning a longer window.
+  /// far is returned. 0 disables.
   std::size_t stagnation_window = 50;
 };
 

@@ -53,7 +53,7 @@ class CsrMatrix {
   /// the assembly paths add both halves from the same expression).
   [[nodiscard]] bool is_symmetric() const;
 
-  /// Dense copy, for the last-resort dense fallback and for tests.
+  /// Dense copy, for tests (the dense-LU agreement oracle).
   [[nodiscard]] Matrix to_dense() const;
 
  private:

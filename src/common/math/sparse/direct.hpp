@@ -3,8 +3,8 @@
 // stencils) and a banded Cholesky (rows x cols meshes have bandwidth
 // min(rows, cols), so small grids factor in O(n b^2) and solve in
 // O(n b) — tiny grids stay as fast as, or faster than, the dense LU they
-// replace). Both are Preconditioners, so a stale direct factor can drive
-// the drift-refinement PCG exactly like a stale IC(0) factor.
+// replace). Both are Preconditioners, so SpdSolver can hand a factor to
+// PCG as the preconditioner of its own matrix (iterative refinement).
 #pragma once
 
 #include <cstddef>

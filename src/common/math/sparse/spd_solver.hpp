@@ -1,17 +1,12 @@
-// Facade over the sparse engine: picks the right factorization for an
-// SPD system from its structure and exposes one solve() plus the
-// stale-factor drift-refinement solve the PDN cache contract needs.
+// Facade over the sparse engine: factors an SPD system directly, then
+// back-substitutes.
 //
 // Method selection (see DESIGN.md "Solver engine"):
-//   bandwidth <= 1        -> tridiagonal LDL^T          (1-D chains)
-//   n <= direct_max_dim   -> banded Cholesky            (small meshes)
-//   otherwise             -> IC(0)-preconditioned CG    (large meshes)
-//   factorization breakdown (symmetric but numerically indefinite)
-//                         -> dense LU fallback, recorded as kDenseLu so
-//                            guard tests can detect a silent regression.
+//   bandwidth <= 1  -> tridiagonal LDL^T   (1-D chains)
+//   otherwise       -> banded Cholesky     (meshes)
 // Asymmetric input throws dh::Error up front (the SPD contract is
-// structural); a singular matrix throws from whichever factorization
-// runs, with a descriptive pivot message.
+// structural); an indefinite or singular matrix throws from the
+// factorization with a descriptive pivot message.
 #pragma once
 
 #include <cstddef>
@@ -19,42 +14,17 @@
 #include <span>
 #include <vector>
 
-#include "common/math/linalg.hpp"
 #include "common/math/sparse/cg.hpp"
 #include "common/math/sparse/csr.hpp"
 
 namespace dh::math::sparse {
 
-class BandedCholesky;
-
-enum class SpdMethod { kTridiagonal, kBandedCholesky, kIc0Cg, kDenseLu };
+enum class SpdMethod { kTridiagonal, kBandedCholesky };
 
 [[nodiscard]] const char* to_string(SpdMethod m);
 
-struct SpdSolverOptions {
-  /// Largest dimension still factored directly (banded Cholesky). Above
-  /// this, IC(0)+CG wins: O(nnz) per iteration vs O(n b^2) to factor.
-  std::size_t direct_max_dim = 512;
-  CgOptions cg;
-  /// Quality target. A CG solve that stagnates above `cg.rel_tolerance`
-  /// (its double-precision floor rises with grid size) is still accepted
-  /// outright when its true relative residual is at or below this bound;
-  /// above it, the engine escalates — direct rescue factorization for
-  /// CG, factor-preconditioned iterative refinement for direct solves —
-  /// before judging again.
-  double accept_rel_residual = 1e-10;
-  /// Rejection bound after escalation. Severely ill-conditioned but
-  /// solvable systems (aged grids whose broken segments spread the
-  /// conductances across ~12 decades) bottom out around 1e-7 relative —
-  /// the double-precision floor any engine shares, dense LU included —
-  /// and are accepted with the achieved residual recorded in the
-  /// `solver.residual` gauge. A genuinely singular matrix (pivots made
-  /// of rounding noise) stalls at O(1) and throws.
-  double reject_rel_residual = 1e-4;
-};
-
-/// Per-solve observability: which engine ran, how hard CG worked, and the
-/// true residual of the returned solution.
+/// Per-solve observability: which factor ran, how many refinement
+/// iterations it needed, and the true residual of the returned solution.
 struct SpdSolveInfo {
   SpdMethod method = SpdMethod::kTridiagonal;
   std::size_t cg_iterations = 0;
@@ -64,61 +34,26 @@ struct SpdSolveInfo {
 
 class SpdSolver {
  public:
-  explicit SpdSolver(CsrMatrix a, SpdSolverOptions opts = {});
-  ~SpdSolver();  // = default in the .cpp, where BandedCholesky is complete
+  explicit SpdSolver(CsrMatrix a);
 
-  /// Solves A x = b with the factorized engine. Direct methods
-  /// back-substitute; kIc0Cg runs preconditioned CG on A itself. Records
-  /// into the `solver.cg_iters` histogram / `solver.residual` gauge.
-  /// Throws dh::Error (with iteration diagnostics) if CG cannot reach
-  /// tolerance — on an SPD system that means singular/ill-posed input.
+  /// Solves A x = b by back-substitution through the factor. A solution
+  /// whose true relative residual exceeds 1e-10 (an ill-conditioned
+  /// system, e.g. an aged grid with 1e9-ohm broken segments) is refined
+  /// by CG on A preconditioned by the factor; one still above 1e-4 after
+  /// refinement throws dh::Error (singular to working precision).
+  /// Records into the `solver.cg_iters` histogram / `solver.residual`
+  /// gauge.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b,
                                           SpdSolveInfo* info = nullptr) const;
 
-  /// Solves `true_op x = b` where true_op is a *drifted* neighbour of the
-  /// factorized matrix (the PDN cache's stale-factor mode): CG on the
-  /// true operator, preconditioned by this factor. Returns false (leaving
-  /// `x` at the best iterate) instead of throwing when CG stalls, so the
-  /// caller can refactorize — mirroring the dense cache's refinement
-  /// fallback.
-  [[nodiscard]] bool solve_drifted(const LinearOp& true_op,
-                                   std::span<const double> b,
-                                   std::vector<double>& x,
-                                   SpdSolveInfo* info = nullptr) const;
-
   [[nodiscard]] SpdMethod method() const { return method_; }
-  [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
-  [[nodiscard]] std::size_t dim() const { return a_.rows(); }
-
-  /// Which engine a system with this structure would get (no assembly or
-  /// factorization) — lets callers and guard tests reason about the plan.
-  [[nodiscard]] static SpdMethod planned_method(
-      std::size_t n, std::size_t bandwidth,
-      const SpdSolverOptions& opts = {});
-
-  /// Whether the lazy CG rescue factorization has been built. Part of the
-  /// checkpoint contract: a restored solver must take the same solve path
-  /// (rescued direct vs IC(0)-CG) as the original, or results drift at
-  /// the rounding level.
-  [[nodiscard]] bool cg_rescue_built() const { return cg_rescue_ != nullptr; }
-
-  /// Force-build the rescue factorization (checkpoint restore). No-op on
-  /// non-CG engines or when already built.
-  void build_cg_rescue() const;
 
  private:
   void record(const SpdSolveInfo& info) const;
 
   CsrMatrix a_;
-  SpdSolverOptions opts_;
   SpdMethod method_;
-  std::unique_ptr<Preconditioner> factor_;     // tridiag / banded / IC(0)
-  std::unique_ptr<LuFactorization> dense_lu_;  // breakdown fallback only
-  /// Built lazily the first time IC(0)-CG stagnates above the acceptance
-  /// bound (EM aging can spread conductances across enough decades that
-  /// IC(0) stops preconditioning well); later solves go direct through
-  /// it. Logically an acceleration-structure swap, hence mutable.
-  mutable std::unique_ptr<BandedCholesky> cg_rescue_;
+  std::unique_ptr<Preconditioner> factor_;  // tridiagonal or banded
 };
 
 }  // namespace dh::math::sparse

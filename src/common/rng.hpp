@@ -8,6 +8,8 @@
 #include <random>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace dh {
 
 namespace detail {
@@ -46,9 +48,12 @@ class Rng {
     return std::uniform_int_distribution<int>{lo, hi}(engine_);
   }
 
-  /// Standard normal deviate scaled to (mean, sigma).
+  /// Standard normal deviate scaled to (mean, sigma). sigma = 0 returns
+  /// `mean` (after drawing, so the stream advances as for sigma > 0);
+  /// std::normal_distribution itself requires sigma > 0.
   [[nodiscard]] double normal(double mean, double sigma) {
-    return std::normal_distribution<double>{mean, sigma}(engine_);
+    DH_REQUIRE(sigma >= 0.0, "normal deviate needs sigma >= 0");
+    return std::normal_distribution<double>{}(engine_) * sigma + mean;
   }
 
   /// Lognormal deviate with the given log-domain parameters.

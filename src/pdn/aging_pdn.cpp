@@ -104,7 +104,7 @@ void AgingPdn::save_state(ckpt::Serializer& s) const {
   s.write_u64(last_.worst_node);
   s.write_f64(last_temp_.value());
   s.write_f64(elapsed_s_);
-  grid_.save_cache(s);
+  grid_.save_state(s);
 }
 
 void AgingPdn::load_state(ckpt::Deserializer& d) {
@@ -124,7 +124,7 @@ void AgingPdn::load_state(ckpt::Deserializer& d) {
   last_.worst_node = static_cast<std::size_t>(d.read_u64());
   last_temp_ = Celsius{d.read_f64()};
   elapsed_s_ = d.read_f64();
-  grid_.load_cache(d);
+  grid_.load_state(d);
 }
 
 }  // namespace dh::pdn

@@ -49,8 +49,7 @@ class AgingPdn {
   [[nodiscard]] bool failed(double drop_limit_fraction = 0.10) const;
 
   /// Checkpoint support: per-segment EM states, aged resistances, the
-  /// last solution, and the grid's cached-factor state (see
-  /// PdnGrid::save_cache for why the cache matters for bit-identity).
+  /// last solution, and the grid's solve counters.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 

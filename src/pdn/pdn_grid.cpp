@@ -1,10 +1,10 @@
 #include "pdn/pdn_grid.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
+#include "common/math/sparse/spd_solver.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/profile.hpp"
 
@@ -12,18 +12,13 @@ namespace dh::pdn {
 
 namespace {
 
-// Registry view of the cached-solver behavior, aggregated across every
-// PdnGrid instance in the process (per-instance numbers stay available
-// via PdnGrid::solve_stats).
+// Registry view of the solver's work, aggregated across every PdnGrid
+// instance in the process (per-instance numbers stay available via
+// PdnGrid::solve_stats).
 struct PdnMetrics {
   obs::Counter& solves = obs::registry().counter("pdn.solve.calls");
-  obs::Counter& cache_hits = obs::registry().counter("pdn.solve.cache_hits");
   obs::Counter& factorizations =
       obs::registry().counter("pdn.solve.factorizations");
-  obs::Counter& refinement_iterations =
-      obs::registry().counter("pdn.solve.refinement_iterations");
-  obs::Counter& fallback_refactorizations =
-      obs::registry().counter("pdn.solve.fallback_refactorizations");
   obs::Counter& cg_iterations =
       obs::registry().counter("pdn.solve.cg_iterations");
 };
@@ -41,8 +36,6 @@ PdnGrid::PdnGrid(PdnParams params) : params_(std::move(params)) {
   DH_REQUIRE(params_.vdd.value() > 0.0, "PDN VDD must be positive");
   DH_REQUIRE(params_.pad_resistance.value() > 0.0,
              "pad resistance must be positive");
-  DH_REQUIRE(params_.refactor_tolerance >= 0.0,
-             "refactor tolerance must be non-negative");
   for (std::size_t r = 0; r < params_.rows; ++r) {
     for (std::size_t c = 0; c < params_.cols; ++c) {
       const std::size_t i = r * params_.cols + c;
@@ -126,18 +119,14 @@ math::sparse::CsrMatrix PdnGrid::assemble_conductance_csr(
   return builder.build();
 }
 
-void PdnGrid::apply_conductance(std::span<const double> segment_resistance,
-                                std::span<const double> x,
-                                std::vector<double>& y) const {
-  y.assign(node_count(), 0.0);
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const auto [a, b] = segments_[s];
-    const double flow = (x[a] - x[b]) / segment_resistance[s];
-    y[a] += flow;
-    y[b] -= flow;
+void PdnGrid::check_inputs(std::span<const double> load_amps,
+                           std::span<const double> segment_resistance) const {
+  DH_REQUIRE(load_amps.size() == node_count(), "load vector size mismatch");
+  DH_REQUIRE(segment_resistance.size() == segments_.size(),
+             "segment resistance vector size mismatch");
+  for (const double r : segment_resistance) {
+    DH_REQUIRE(r > 0.0, "segment resistance must be positive");
   }
-  const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) y[p] += g_pad * x[p];
 }
 
 PdnSolution PdnGrid::finish_solution(
@@ -162,88 +151,22 @@ PdnSolution PdnGrid::finish_solution(
   return sol;
 }
 
-void PdnGrid::refactorize(
-    std::span<const double> segment_resistance) const {
-  DH_PROF_SCOPE("pdn.refactorize");
-  solver_ = std::make_unique<math::sparse::SpdSolver>(
-      assemble_conductance_csr(segment_resistance), params_.solver);
-  solver_segment_r_.assign(segment_resistance.begin(),
-                           segment_resistance.end());
-  ++solve_stats_.factorizations;
-  pdn_metrics().factorizations.add();
-}
-
-math::sparse::SpdMethod PdnGrid::solver_method() const {
-  if (solver_ != nullptr) return solver_->method();
-  // Mesh bandwidth: node i couples to i+1 and i+cols.
-  return math::sparse::SpdSolver::planned_method(
-      node_count(), params_.cols, params_.solver);
-}
-
 PdnSolution PdnGrid::solve(std::span<const double> load_amps,
                            std::span<const double> segment_resistance) const {
-  // No wall-time scope here: solve sits on the per-quantum hot path and a
-  // timer would cost two clock reads per call. Counts come from the
-  // registry counters; timing lives on the rare refactorize path.
-  const std::size_t n = node_count();
-  DH_REQUIRE(load_amps.size() == n, "load vector size mismatch");
-  DH_REQUIRE(segment_resistance.size() == segments_.size(),
-             "segment resistance vector size mismatch");
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    DH_REQUIRE(segment_resistance[s] > 0.0,
-               "segment resistance must be positive");
-  }
+  check_inputs(load_amps, segment_resistance);
   ++solve_stats_.solves;
   pdn_metrics().solves.add();
 
-  bool exact = solver_ != nullptr;
-  bool refactor = solver_ == nullptr;
-  if (!refactor) {
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      const double drift =
-          std::abs(segment_resistance[s] - solver_segment_r_[s]);
-      if (drift > params_.refactor_tolerance * solver_segment_r_[s]) {
-        refactor = true;
-        break;
-      }
-      if (drift != 0.0) exact = false;
-    }
-  }
-  if (refactor) {
-    refactorize(segment_resistance);
-    exact = true;
-  } else {
-    pdn_metrics().cache_hits.add();
-  }
+  const math::sparse::SpdSolver solver = [&] {
+    DH_PROF_SCOPE("pdn.refactorize");
+    return math::sparse::SpdSolver{
+        assemble_conductance_csr(segment_resistance)};
+  }();
+  ++solve_stats_.factorizations;
+  pdn_metrics().factorizations.add();
 
-  const std::vector<double> rhs = assemble_rhs(load_amps);
-  std::vector<double> v;
   math::sparse::SpdSolveInfo info;
-  if (exact) {
-    v = solver_->solve(rhs, &info);
-  } else {
-    // The factor describes slightly stale conductances; run CG against
-    // the *true* operator (matrix-free) preconditioned by the stale
-    // factor. Drift <= tolerance keeps the preconditioned system within
-    // a few percent of the identity, so a handful of iterations recover
-    // full accuracy — the sparse analogue of stale-LU refinement.
-    const bool converged = solver_->solve_drifted(
-        [&](std::span<const double> x, std::vector<double>& y) {
-          apply_conductance(segment_resistance, x, y);
-        },
-        rhs, v, &info);
-    solve_stats_.refinement_iterations += info.cg_iterations;
-    pdn_metrics().refinement_iterations.add(info.cg_iterations);
-    if (!converged) {
-      // Drift within tolerance but CG stalled (e.g. resistance jump
-      // exactly at the threshold): fall back to a fresh factorization.
-      pdn_metrics().fallback_refactorizations.add();
-      refactorize(segment_resistance);
-      solve_stats_.cg_iterations += info.cg_iterations;
-      pdn_metrics().cg_iterations.add(info.cg_iterations);
-      v = solver_->solve(rhs, &info);
-    }
-  }
+  std::vector<double> v = solver.solve(assemble_rhs(load_amps), &info);
   solve_stats_.cg_iterations += info.cg_iterations;
   pdn_metrics().cg_iterations.add(info.cg_iterations);
   return finish_solution(std::move(v), segment_resistance);
@@ -252,14 +175,7 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
 PdnSolution PdnGrid::solve_uncached(
     std::span<const double> load_amps,
     std::span<const double> segment_resistance) const {
-  const std::size_t n = node_count();
-  DH_REQUIRE(load_amps.size() == n, "load vector size mismatch");
-  DH_REQUIRE(segment_resistance.size() == segments_.size(),
-             "segment resistance vector size mismatch");
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    DH_REQUIRE(segment_resistance[s] > 0.0,
-               "segment resistance must be positive");
-  }
+  check_inputs(load_amps, segment_resistance);
   const math::Matrix g = assemble_conductance(segment_resistance);
   return finish_solution(math::solve_dense(g, assemble_rhs(load_amps)),
                          segment_resistance);
@@ -269,36 +185,17 @@ AmpsPerM2 PdnGrid::current_density(double current_a) const {
   return AmpsPerM2{current_a / params_.segment_wire.cross_section_m2()};
 }
 
-void PdnGrid::save_cache(ckpt::Serializer& s) const {
+void PdnGrid::save_state(ckpt::Serializer& s) const {
   s.begin_section("PDNC");
-  s.write_bool(solver_ != nullptr);
-  if (solver_ != nullptr) {
-    s.write_f64_vec(solver_segment_r_);
-    s.write_bool(solver_->cg_rescue_built());
-  }
   s.write_u64(solve_stats_.solves);
   s.write_u64(solve_stats_.factorizations);
-  s.write_u64(solve_stats_.refinement_iterations);
   s.write_u64(solve_stats_.cg_iterations);
 }
 
-void PdnGrid::load_cache(ckpt::Deserializer& d) {
+void PdnGrid::load_state(ckpt::Deserializer& d) {
   d.expect_section("PDNC");
-  if (d.read_bool()) {
-    const std::vector<double> r = d.read_f64_vec();
-    DH_REQUIRE(r.size() == segments_.size(),
-               "PDN snapshot cached-factor resistances do not match this "
-               "grid's segment count");
-    refactorize(r);
-    if (d.read_bool()) solver_->build_cg_rescue();
-  } else {
-    solver_.reset();
-    solver_segment_r_.clear();
-  }
   solve_stats_.solves = static_cast<std::size_t>(d.read_u64());
   solve_stats_.factorizations = static_cast<std::size_t>(d.read_u64());
-  solve_stats_.refinement_iterations =
-      static_cast<std::size_t>(d.read_u64());
   solve_stats_.cg_iterations = static_cast<std::size_t>(d.read_u64());
 }
 

@@ -8,12 +8,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/math/linalg.hpp"
-#include "common/math/sparse/spd_solver.hpp"
+#include "common/math/sparse/csr.hpp"
 #include "common/units.hpp"
 #include "em/wire.hpp"
 
@@ -42,28 +41,14 @@ struct PdnParams {
   Ohms pad_resistance{0.05};
   /// Pad nodes; empty = the four corners.
   std::vector<std::size_t> pad_nodes;
-  /// Relative per-segment resistance drift that forces the cached sparse
-  /// factorization (IC(0) or direct Cholesky, see math::sparse::SpdSolver)
-  /// to be rebuilt. Between refactorizations the stale factor
-  /// preconditions a conjugate-gradient solve against the *true*
-  /// conductances, so accuracy does not depend on the tolerance — only
-  /// the CG iteration count does. EM drift is slow, so most solves are a
-  /// handful of preconditioned iterations. Set to 0 to refactorize every
-  /// time resistances change at all.
-  double refactor_tolerance = 0.05;
-  /// Engine tuning (direct-vs-CG threshold, CG tolerances).
-  math::sparse::SpdSolverOptions solver;
 };
 
-/// Counters for the cached IR solver (see PdnGrid::solve).
+/// Counters for the IR solver (see PdnGrid::solve).
 struct PdnSolveStats {
   std::size_t solves = 0;
   std::size_t factorizations = 0;
-  /// CG iterations spent refining against stale (drifted) factors — the
-  /// sparse successor of the dense cache's iterative-refinement sweeps.
-  std::size_t refinement_iterations = 0;
-  /// Total preconditioned-CG iterations across all solves (exact solves
-  /// on the IC(0) path plus every drift-refinement iteration).
+  /// Refinement CG iterations across all solves (ill-conditioned aged
+  /// grids; see math::sparse::SpdSolver::solve).
   std::size_t cg_iterations = 0;
 };
 
@@ -96,33 +81,23 @@ class PdnGrid {
   /// Solve the mesh: `load_amps` is the current drawn at each node;
   /// `segment_resistance` allows aged overrides (same order as segments).
   ///
-  /// Runs on the sparse engine (common/math/sparse): the CSR conductance
-  /// matrix is factorized — tridiagonal/banded Cholesky for small grids,
-  /// IC(0) for large ones — and the factor is cached until any segment
-  /// resistance drifts more than `params.refactor_tolerance` (relative);
-  /// in between, the stale factor preconditions a CG solve against the
-  /// true conductances (applied matrix-free), so the answer matches a
-  /// fresh dense solve to ~1e-12 while costing only a few iterations.
-  ///
-  /// The cache makes this method non-reentrant: a PdnGrid instance must
-  /// not be solved from two threads at once (parallel sweeps give each
-  /// task its own grid).
+  /// Runs on the sparse engine (common/math/sparse): every call assembles
+  /// the CSR conductance matrix, factors it (banded Cholesky) and
+  /// back-substitutes. Nothing is cached, so the answer depends only on
+  /// the arguments. The solve counters make this method non-reentrant: a
+  /// PdnGrid instance must not be solved from two threads at once
+  /// (parallel sweeps give each task its own grid).
   [[nodiscard]] PdnSolution solve(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
 
-  /// Reference solver: assembles and dense-solves (LU) from scratch, no
-  /// cache — the agreement baseline the sparse engine is tested against.
+  /// Reference solver: assembles and dense-solves (LU) from scratch — the
+  /// agreement baseline the sparse engine is tested against.
   [[nodiscard]] PdnSolution solve_uncached(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
 
-  /// Engine the cached solver is using (or will use: derived from the
-  /// grid structure before the first solve). kDenseLu means the sparse
-  /// factorization broke down and the guard tests should fail.
-  [[nodiscard]] math::sparse::SpdMethod solver_method() const;
-
-  /// Counters for the cached solver (how often it actually refactorized).
+  /// Solve counters.
   [[nodiscard]] const PdnSolveStats& solve_stats() const {
     return solve_stats_;
   }
@@ -130,15 +105,10 @@ class PdnGrid {
   /// Current density in a segment carrying `current`.
   [[nodiscard]] AmpsPerM2 current_density(double current_a) const;
 
-  /// Checkpoint support for the cached-factor state. The solve path a
-  /// call takes (fresh factorization vs stale-factor drift CG) depends on
-  /// which resistances the cached factor was built from, and the two
-  /// paths agree only to ~1e-12 — so bit-identical resume requires
-  /// rebuilding the factor from the *saved* resistances, not the current
-  /// ones. load_cache does that, then restores the solve counters so
-  /// summaries match an uninterrupted run.
-  void save_cache(ckpt::Serializer& s) const;
-  void load_cache(ckpt::Deserializer& d);
+  /// Checkpoint support: the solve counters, so summaries of a resumed
+  /// run match an uninterrupted one.
+  void save_state(ckpt::Serializer& s) const;
+  void load_state(ckpt::Deserializer& d);
 
   [[nodiscard]] const PdnParams& params() const { return params_; }
   [[nodiscard]] const std::vector<std::size_t>& pads() const { return pads_; }
@@ -150,22 +120,16 @@ class PdnGrid {
       std::span<const double> segment_resistance) const;
   [[nodiscard]] std::vector<double> assemble_rhs(
       std::span<const double> load_amps) const;
-  /// y = G(segment_resistance) * x without forming the matrix.
-  void apply_conductance(std::span<const double> segment_resistance,
-                         std::span<const double> x,
-                         std::vector<double>& y) const;
+  void check_inputs(std::span<const double> load_amps,
+                    std::span<const double> segment_resistance) const;
   [[nodiscard]] PdnSolution finish_solution(
       std::vector<double> node_voltage,
       std::span<const double> segment_resistance) const;
-  void refactorize(std::span<const double> segment_resistance) const;
 
   PdnParams params_;
   std::vector<Segment> segments_;
   std::vector<std::size_t> pads_;
-  // Cached-solver state (logically const: an acceleration structure).
-  mutable std::unique_ptr<math::sparse::SpdSolver> solver_;
-  mutable std::vector<double> solver_segment_r_;  // r when factorized
-  mutable PdnSolveStats solve_stats_;
+  mutable PdnSolveStats solve_stats_;  // logically const: telemetry
 };
 
 }  // namespace dh::pdn

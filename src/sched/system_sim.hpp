@@ -78,7 +78,7 @@ class SystemSimulator {
 
   /// Checkpoint support: serialize the complete mutable state (cores,
   /// workloads, thermal grid, PDN wire states, RNG stream, accumulators,
-  /// traces, policy state, and solver-cache state) such that
+  /// traces, policy state, and solver counters/caches) such that
   /// load_state + run(T') is bit-identical to an uninterrupted run(T+T').
   void save_state(ckpt::Serializer& s) const;
   /// Restore from save_state output. Throws dh::Error when the snapshot

@@ -40,7 +40,7 @@ void ThermalGrid::build_conductance() {
     }
   }
   g_ = builder.build();
-  steady_ = std::make_unique<math::sparse::SpdSolver>(g_, params_.solver);
+  steady_ = std::make_unique<math::sparse::SpdSolver>(g_);
   ++stats_.factorizations;
   static obs::Counter& factorizations =
       obs::registry().counter("thermal.solve.factorizations");
@@ -97,8 +97,7 @@ const math::sparse::SpdSolver& ThermalGrid::transient_solver(double dt) {
   }
   transient_.emplace(
       transient_.begin(), dt,
-      std::make_unique<math::sparse::SpdSolver>(std::move(a),
-                                                params_.solver));
+      std::make_unique<math::sparse::SpdSolver>(std::move(a)));
   if (transient_.size() > kMaxTransientFactors) transient_.pop_back();
   ++stats_.factorizations;
   static obs::Counter& factorizations =
@@ -120,10 +119,6 @@ void ThermalGrid::step(Seconds dt) {
   temp_rise_ = solver.solve(rhs);
 }
 
-math::sparse::SpdMethod ThermalGrid::solver_method() const {
-  return steady_->method();
-}
-
 Celsius ThermalGrid::temperature(std::size_t tile) const {
   DH_REQUIRE(tile < tile_count(), "tile index out of range");
   return Celsius{params_.ambient.value() + temp_rise_[tile]};
@@ -138,13 +133,11 @@ void ThermalGrid::save_state(ckpt::Serializer& s) const {
   s.begin_section("THRM");
   s.write_f64_vec(power_);
   s.write_f64_vec(temp_rise_);
-  s.write_bool(steady_->cg_rescue_built());
   // Transient cache keys, oldest first, so a load that re-inserts each at
   // the MRU front reproduces the exact cache order.
   s.write_u64(transient_.size());
   for (std::size_t i = transient_.size(); i > 0; --i) {
     s.write_f64(transient_[i - 1].first);
-    s.write_bool(transient_[i - 1].second->cg_rescue_built());
   }
   s.write_u64(stats_.steady_solves);
   s.write_u64(stats_.transient_steps);
@@ -160,16 +153,12 @@ void ThermalGrid::load_state(ckpt::Deserializer& d) {
              "thermal snapshot tile count does not match this grid");
   power_ = std::move(power);
   temp_rise_ = std::move(temp_rise);
-  if (d.read_bool()) steady_->build_cg_rescue();
   transient_.clear();
   const std::uint64_t cached = d.read_u64();
   DH_REQUIRE(cached <= kMaxTransientFactors,
              "thermal snapshot transient cache exceeds the MRU capacity");
   for (std::uint64_t i = 0; i < cached; ++i) {
-    const double dt = d.read_f64();
-    const bool rescue = d.read_bool();
-    const math::sparse::SpdSolver& solver = transient_solver(dt);
-    if (rescue) solver.build_cg_rescue();
+    (void)transient_solver(d.read_f64());
   }
   // The rebuild above bumped the counters; the snapshot values (matching
   // the uninterrupted run) win.

@@ -34,11 +34,9 @@ struct ThermalGridParams {
   /// Heat capacity per tile, J/K.
   double tile_heat_capacity_j_per_k = 8e-4;
   Celsius ambient{45.0};
-  /// Engine tuning (direct-vs-CG threshold, CG tolerances).
-  math::sparse::SpdSolverOptions solver;
 };
 
-/// Counters for the cached thermal solvers (mirrors PdnSolveStats).
+/// Counters for the cached thermal solvers.
 struct ThermalSolveStats {
   std::size_t steady_solves = 0;
   std::size_t transient_steps = 0;
@@ -80,14 +78,12 @@ class ThermalGrid {
   [[nodiscard]] const ThermalSolveStats& solve_stats() const {
     return stats_;
   }
-  /// Engine the steady solver runs on (kDenseLu = breakdown fallback).
-  [[nodiscard]] math::sparse::SpdMethod solver_method() const;
 
   /// Checkpoint support. Saves the power map, temperature field, solve
-  /// counters, and the transient cache's dt keys (+ rescue flags);
-  /// load_state deterministically rebuilds the cached factorizations in
-  /// the same MRU order so a restored grid takes the same solve paths as
-  /// an uninterrupted one, then restores the counters.
+  /// counters, and the transient cache's dt keys; load_state rebuilds the
+  /// cached factorizations in the same MRU order so a restored grid hits
+  /// and evicts exactly as an uninterrupted one, then restores the
+  /// counters.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 

@@ -23,9 +23,9 @@ class FaultTest : public ::testing::Test {
 
 TEST_F(FaultTest, ParseAcceptsWellFormedSpecs) {
   const auto specs =
-      parse_fault_spec("solver.cg_stagnate:0.5:2,sensor.nan:1:1");
+      parse_fault_spec("sensor.outlier:0.5:2,sensor.nan:1:1");
   ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].site, "solver.cg_stagnate");
+  EXPECT_EQ(specs[0].site, "sensor.outlier");
   EXPECT_DOUBLE_EQ(specs[0].probability, 0.5);
   EXPECT_EQ(specs[0].max_count, 2u);
   EXPECT_EQ(specs[1].site, "sensor.nan");

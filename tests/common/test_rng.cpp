@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace dh {
 namespace {
@@ -60,6 +63,25 @@ TEST(Rng, NormalMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 3.0, 0.06);
   EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+TEST(Rng, NormalMatchesScaledStdDistributionAndAcceptsZeroSigma) {
+  // Same draws as std::normal_distribution{mean, sigma} for sigma > 0,
+  // so seeded results do not move.
+  Rng r{19};
+  std::mt19937_64 engine{19};
+  for (int i = 0; i < 10000; ++i) {
+    const double sigma = 0.1 + 0.001 * i;
+    ASSERT_EQ(r.normal(-1.0, sigma),
+              (std::normal_distribution<double>{-1.0, sigma}(engine)));
+  }
+  // sigma = 0 (outside std::normal_distribution's domain) is exactly the
+  // mean and still advances the stream as one draw.
+  Rng zero{5}, one{5};
+  EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+  (void)one.normal(0.0, 1.0);
+  EXPECT_EQ(zero.uniform(), one.uniform());
+  EXPECT_THROW((void)zero.normal(0.0, -1.0), Error);
 }
 
 TEST(Rng, LognormalIsPositive) {

@@ -1,11 +1,12 @@
 // Engine-level tests for the sparse linear-algebra stack: CSR assembly,
-// IC(0), PCG, the direct fallbacks, and the SpdSolver facade — including
+// PCG, the direct factorizations, and the SpdSolver facade — including
 // the rejection paths (asymmetric, indefinite, singular) that must raise
 // descriptive dh::Error instead of returning garbage.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,7 +14,6 @@
 #include "common/math/sparse/cg.hpp"
 #include "common/math/sparse/csr.hpp"
 #include "common/math/sparse/direct.hpp"
-#include "common/math/sparse/ic0.hpp"
 #include "common/math/sparse/spd_solver.hpp"
 #include "common/rng.hpp"
 
@@ -142,41 +142,6 @@ TEST(Direct, TridiagonalRejectsIndefinite) {
   EXPECT_THROW(TridiagonalCholesky{b.build()}, Error);
 }
 
-TEST(Ic0, ExactForTridiagonalPattern) {
-  // With no dropped fill (tridiagonal has none), IC(0) is the exact
-  // Cholesky factor: one apply solves the system outright.
-  const std::size_t n = 25;
-  CsrBuilder b(n, n, 3);
-  for (std::size_t i = 0; i < n; ++i) b.add_diagonal(i, 0.5);
-  for (std::size_t i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1, 1.0);
-  const CsrMatrix a = b.build();
-  const IncompleteCholesky ic{a};
-  EXPECT_EQ(ic.shift(), 0.0);
-  std::vector<double> rhs(n, 1.0);
-  std::vector<double> x;
-  ic.apply(rhs, x);
-  const auto ax = a.multiply(x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], 1.0, 1e-12);
-}
-
-TEST(Ic0, PreconditionsGridCgFarBelowUnpreconditionedCount) {
-  Rng rng{23};
-  const CsrMatrix a = grid_laplacian(24, 24, 0.02, &rng);
-  std::vector<double> rhs(a.rows());
-  for (auto& v : rhs) v = rng.uniform(0.0, 1.0);
-  const LinearOp op = [&](std::span<const double> v,
-                          std::vector<double>& y) { a.multiply(v, y); };
-  CgOptions opts;
-  opts.rel_tolerance = 1e-12;
-  std::vector<double> x_plain, x_ic;
-  const CgResult plain =
-      pcg_solve(op, rhs, IdentityPreconditioner{}, x_plain, opts);
-  const CgResult ic = pcg_solve(op, rhs, IncompleteCholesky{a}, x_ic, opts);
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(ic.converged);
-  EXPECT_LT(ic.iterations, plain.iterations / 2);
-}
-
 TEST(Cg, ZeroRhsReturnsZeroInZeroIterations) {
   const CsrMatrix a = grid_laplacian(4, 4, 0.3);
   const LinearOp op = [&](std::span<const double> v,
@@ -209,18 +174,13 @@ TEST(Cg, IndefiniteOperatorRaisesCurvatureError) {
 }
 
 TEST(SpdSolver, PicksMethodFromStructure) {
-  EXPECT_EQ(SpdSolver::planned_method(100, 1), SpdMethod::kTridiagonal);
-  EXPECT_EQ(SpdSolver::planned_method(100, 10), SpdMethod::kBandedCholesky);
-  EXPECT_EQ(SpdSolver::planned_method(4096, 64), SpdMethod::kIc0Cg);
-
   const SpdSolver tri{grid_laplacian(1, 32, 0.2)};
   EXPECT_EQ(tri.method(), SpdMethod::kTridiagonal);
   const SpdSolver banded{grid_laplacian(8, 8, 0.2)};
   EXPECT_EQ(banded.method(), SpdMethod::kBandedCholesky);
-  SpdSolverOptions tiny_direct;
-  tiny_direct.direct_max_dim = 16;
-  const SpdSolver cg{grid_laplacian(8, 8, 0.2), tiny_direct};
-  EXPECT_EQ(cg.method(), SpdMethod::kIc0Cg);
+  // Large meshes factor directly too: there is no iterative engine.
+  const SpdSolver large{grid_laplacian(40, 40, 0.2)};
+  EXPECT_EQ(large.method(), SpdMethod::kBandedCholesky);
 }
 
 TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
@@ -231,9 +191,7 @@ TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
     for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
     const auto x_ref = solve_dense(a.to_dense(), rhs);
 
-    SpdSolverOptions opts;
-    opts.direct_max_dim = rows <= 6 ? 512 : 16;  // force CG for the 20x21
-    const SpdSolver solver{a, opts};
+    const SpdSolver solver{a};
     SpdSolveInfo info;
     const auto x = solver.solve(rhs, &info);
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -258,22 +216,30 @@ TEST(SpdSolver, RejectsAsymmetricAssembly) {
   }
 }
 
-TEST(SpdSolver, IndefiniteFallsBackToDenseLu) {
-  // Symmetric, invertible, but indefinite: every sparse factorization
-  // breaks down and the facade must fall back to dense LU (recorded so
-  // guard tests can detect an unwanted fallback).
+TEST(SpdSolver, IndefiniteRaisesNamedError) {
+  // Symmetric and invertible, but indefinite: no Cholesky factor exists,
+  // and the facade refuses it rather than solving it some other way.
+  // One chain (tridiagonal factor) and one mesh (banded factor).
   CsrBuilder b(3, 3);
   b.add(0, 0, 1.0);
   b.add(1, 1, -3.0);
   b.add(2, 2, 1.0);
   b.add_edge(0, 1, 0.5);
-  const CsrMatrix a = b.build();
-  const SpdSolver solver{a};
-  EXPECT_EQ(solver.method(), SpdMethod::kDenseLu);
-  const std::vector<double> rhs{1.0, 2.0, 3.0};
-  const auto x = solver.solve(rhs);
-  const auto ax = a.multiply(x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-10);
+  CsrMatrix mesh = grid_laplacian(4, 4, 0.1);
+  for (std::size_t k = mesh.row_ptr()[5]; k < mesh.row_ptr()[6]; ++k) {
+    if (mesh.col_idx()[k] == 5) mesh.values()[k] = -10.0;
+  }
+  ASSERT_TRUE(mesh.is_symmetric());
+  for (CsrMatrix a : {b.build(), mesh}) {
+    try {
+      const SpdSolver solver{std::move(a)};
+      FAIL() << "expected dh::Error for an indefinite matrix";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("not positive definite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SpdSolver, SingularRaisesDescriptiveErrorOnEveryPath) {
@@ -285,33 +251,6 @@ TEST(SpdSolver, SingularRaisesDescriptiveErrorOnEveryPath) {
         },
         Error)
         << rows << "x21 ungrounded Laplacian must not solve";
-  }
-}
-
-TEST(SpdSolver, DriftedSolveRefinesAgainstTrueOperator) {
-  Rng rng{41};
-  const CsrMatrix stale = grid_laplacian(10, 10, 0.3, &rng);
-  // True operator: same structure, all weights 4% higher (EM-style
-  // drift within a 5% refactor tolerance).
-  CsrMatrix drifted = stale;
-  for (auto& v : drifted.values()) v *= 1.04;
-  std::vector<double> rhs(stale.rows());
-  for (auto& v : rhs) v = rng.uniform(0.0, 1.0);
-
-  const SpdSolver solver{stale};
-  std::vector<double> x;
-  SpdSolveInfo info;
-  const bool converged = solver.solve_drifted(
-      [&](std::span<const double> v, std::vector<double>& y) {
-        drifted.multiply(v, y);
-      },
-      rhs, x, &info);
-  EXPECT_TRUE(converged);
-  EXPECT_GT(info.cg_iterations, 0u);
-  EXPECT_LT(info.cg_iterations, 20u);  // stale factor ~ identity
-  const auto x_ref = solve_dense(drifted.to_dense(), rhs);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], x_ref[i], 1e-10);
   }
 }
 

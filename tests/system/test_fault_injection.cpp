@@ -14,7 +14,6 @@
 #include "common/obs/bench_io.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
-#include "pdn/pdn_grid.hpp"
 #include "sched/system_sim.hpp"
 
 namespace dh {
@@ -44,53 +43,6 @@ class FaultInjectionTest : public ::testing::Test {
 
   fs::path dir_;
 };
-
-pdn::PdnParams small_grid() {
-  pdn::PdnParams p;
-  p.rows = p.cols = 8;
-  return p;
-}
-
-TEST_F(FaultInjectionTest, FactorizationBreakdownFallsBackToDense) {
-  const pdn::PdnGrid reference{small_grid()};
-  const std::vector<double> loads(reference.node_count(), 0.002);
-  const auto r = reference.fresh_segment_resistances(Celsius{85.0});
-  const auto want = reference.solve_uncached(loads, r);
-
-  fault::configure("solver.factor_breakdown:1:1");
-  const pdn::PdnGrid grid{small_grid()};
-  const auto got = grid.solve(loads, r);  // first solve builds the solver
-  EXPECT_EQ(fault::injection_count("solver.factor_breakdown"), 1u);
-  EXPECT_NEAR(got.worst_drop_v, want.worst_drop_v, 1e-9);
-  for (std::size_t i = 0; i < got.node_voltage.size(); ++i) {
-    EXPECT_NEAR(got.node_voltage[i], want.node_voltage[i], 1e-9);
-  }
-}
-
-TEST_F(FaultInjectionTest, CgStagnationRecoversThroughRescuePath) {
-  // The stagnation site sits on the IC(0)-CG path, which the engine only
-  // picks above direct_max_dim (512) nodes — hence the 24x24 grid.
-  pdn::PdnParams gp;
-  gp.rows = gp.cols = 24;
-  const pdn::PdnGrid reference{gp};
-  ASSERT_EQ(reference.solver_method(), math::sparse::SpdMethod::kIc0Cg);
-  const std::vector<double> loads(reference.node_count(), 0.002);
-  auto r = reference.fresh_segment_resistances(Celsius{85.0});
-  const auto want_fresh = reference.solve_uncached(loads, r);
-
-  // Unlimited stagnation: the fresh solve AND the drifted re-solve both
-  // hit the fault and must both still produce the right answer.
-  fault::configure("solver.cg_stagnate:1:1000");
-  const pdn::PdnGrid grid{gp};
-  const auto got_fresh = grid.solve(loads, r);
-  EXPECT_NEAR(got_fresh.worst_drop_v, want_fresh.worst_drop_v, 1e-9);
-
-  for (double& x : r) x *= 1.0 + 1e-4;  // EM-style drift
-  const auto want_drift = reference.solve_uncached(loads, r);
-  const auto got_drift = grid.solve(loads, r);
-  EXPECT_NEAR(got_drift.worst_drop_v, want_drift.worst_drop_v, 1e-9);
-  EXPECT_GE(fault::injection_count("solver.cg_stagnate"), 1u);
-}
 
 TEST_F(FaultInjectionTest, SensorFaultsDegradeToLastGoodReading) {
   obs::Counter& rejected = obs::registry().counter("sensor.rejected");
@@ -191,20 +143,6 @@ TEST_F(FaultInjectionTest, BenchWriteFaultNeverClobbersPublishedFile) {
   std::stringstream content2;
   content2 << in2.rdbuf();
   EXPECT_EQ(content2.str(), "{\"v\": 3}\n");
-}
-
-TEST_F(FaultInjectionTest, SolverFaultsDuringLifetimeRunStayGraceful) {
-  // A lifetime run with recoverable solver faults firing throughout must
-  // complete and stay finite — the degradation ladder in action.
-  fault::configure("solver.cg_stagnate:0.05:1000000");
-  sched::SystemParams p;
-  p.rows = p.cols = 2;
-  p.seed = 11;
-  sched::SystemSimulator sim{p, sched::make_periodic_active_policy()};
-  sim.run(days(30.0));
-  const auto s = sim.summary();
-  EXPECT_TRUE(std::isfinite(s.guardband_fraction));
-  EXPECT_TRUE(std::isfinite(s.mean_temperature_c));
 }
 
 }  // namespace
