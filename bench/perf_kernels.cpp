@@ -196,7 +196,7 @@ double wall_ms(const std::function<void()>& fn) {
 
 // EM wire-population kernel shared by the serial/parallel timing below —
 // a scaled-down bench/em_population_ttf inner loop.
-double em_population_member(std::size_t i) {
+double em_population_wire(std::size_t i) {
   using namespace dh::em;
   Rng r = Rng::stream(2026, i);
   EmMaterialParams m = paper_calibrated_em_material();
@@ -224,12 +224,12 @@ void write_parallel_json() {
   std::vector<double> serial_ttf(kWires);
   const double em_serial_ms = wall_ms([&] {
     for (std::size_t i = 0; i < kWires; ++i) {
-      serial_ttf[i] = em_population_member(i);
+      serial_ttf[i] = em_population_wire(i);
     }
   });
   std::vector<double> parallel_ttf;
   const double em_parallel_ms = wall_ms([&] {
-    parallel_ttf = parallel_map(kWires, em_population_member);
+    parallel_ttf = parallel_map(kWires, em_population_wire);
   });
   const bool em_identical = serial_ttf == parallel_ttf;
 

@@ -4,8 +4,7 @@
 //   bytes 0-3   magic "DHCK"
 //   bytes 4-7   u32 schema version (kSchemaVersion)
 //
-//   u64 kind length + kind bytes   what the payload holds ("system_sim",
-//                                  "population_member", ...)
+//   u64 kind length + kind bytes   what the payload holds ("system_sim")
 //   u64 payload length
 //   u32 CRC-32 of the payload
 //   payload bytes
@@ -24,9 +23,9 @@
 
 namespace dh::ckpt {
 
-/// 2: the PDN section holds solve counters only (no cached factor) and
-/// the thermal section no rescue flags; version-1 files are refused.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+/// 3: the thermal section holds only the power map and temperature rise
+/// (no transient-cache keys or solve counters); older files are refused.
+inline constexpr std::uint32_t kSchemaVersion = 3;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 struct SnapshotHeader {
@@ -56,7 +55,7 @@ void write_snapshot(const std::string& path, const std::string& kind,
 
 /// True if `path` exists and read_snapshot(path, expected_kind) would
 /// succeed. Never throws — the resume path uses this to treat a corrupt
-/// per-member checkpoint as simply "not done yet".
+/// checkpoint as simply absent.
 [[nodiscard]] bool snapshot_valid(const std::string& path,
                                   const std::string& expected_kind) noexcept;
 

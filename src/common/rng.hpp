@@ -16,8 +16,7 @@ namespace detail {
 
 /// splitmix64 finalizer: full-avalanche 64-bit mix (Steele et al.). Every
 /// input bit affects every output bit, so nearby inputs (consecutive task
-/// indices, consecutive raw engine draws) map to statistically independent
-/// seeds.
+/// indices) map to statistically independent seeds.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
@@ -69,14 +68,6 @@ class Rng {
   /// Bernoulli trial with probability p of true.
   [[nodiscard]] bool bernoulli(double p) {
     return std::bernoulli_distribution{p}(engine_);
-  }
-
-  /// Derive an independent child stream (useful for per-component RNGs).
-  /// The child seed is a raw engine draw pushed through the splitmix64
-  /// finalizer: consecutive forks land on unrelated points of the child
-  /// seed space instead of the correlated raw-draw-XOR-constant scheme.
-  [[nodiscard]] Rng fork() {
-    return Rng{detail::mix64(engine_() + detail::kGolden)};
   }
 
   /// Seed of child stream `index` of `root_seed` — the index-th output of

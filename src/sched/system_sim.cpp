@@ -1,8 +1,10 @@
 #include "sched/system_sim.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -283,15 +285,17 @@ void SystemSimulator::run(Seconds lifetime) {
     every = 64;
     if (const char* e = std::getenv("DH_CKPT_EVERY");
         e != nullptr && e[0] != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(e, &end, 10);
-      if (end == e || *end != '\0' || v == 0) {
+      // Plain decimal digits only: from_chars takes no sign or
+      // whitespace and reports overflow instead of wrapping.
+      const char* end = e + std::strlen(e);
+      const auto [ptr, ec] = std::from_chars(e, end, every);
+      if (ec != std::errc{} || ptr != end || every == 0) {
         throw Error(std::string("DH_CKPT_EVERY='") + e +
                     "' must be a positive integer (quanta per checkpoint)");
       }
-      every = static_cast<std::size_t>(v);
     }
-    // Seed-qualified name so concurrent population members never collide.
+    // Seed-qualified name so simulators of different seeds sharing one
+    // directory never collide.
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best-effort; write errors
                                                    // surface with the path

@@ -1,4 +1,5 @@
-// HotSpot-style 2-D thermal RC grid of the die.
+// HotSpot-style 2-D thermal grid of the die, solved at steady state (the
+// die's thermal time constants are far below a scheduling quantum).
 //
 // Each floorplan tile couples laterally to its neighbours through silicon
 // and vertically to the heat sink/ambient through the package. Used by the
@@ -9,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,20 +31,7 @@ struct ThermalGridParams {
   double k_silicon_w_per_mk = 120.0;
   /// Vertical conductance to ambient per tile (package + heatsink), W/K.
   double vertical_g_w_per_k = 0.15;
-  /// Heat capacity per tile, J/K.
-  double tile_heat_capacity_j_per_k = 8e-4;
   Celsius ambient{45.0};
-};
-
-/// Counters for the cached thermal solvers.
-struct ThermalSolveStats {
-  std::size_t steady_solves = 0;
-  std::size_t transient_steps = 0;
-  /// Factorizations built: one per build_conductance for the steady
-  /// solver plus one per distinct dt admitted to the transient cache.
-  std::size_t factorizations = 0;
-  /// Transient steps served by a dt-keyed cached factorization.
-  std::size_t transient_cache_hits = 0;
 };
 
 class ThermalGrid {
@@ -59,50 +46,26 @@ class ThermalGrid {
   void set_power(std::size_t tile, Watts p);
   void set_power_map(std::span<const double> watts);
 
-  /// Steady-state temperatures for the current power map.
+  /// Steady-state temperatures for the current power map, from the
+  /// conductance matrix factored once at construction.
   void solve_steady();
-
-  /// Transient step (backward Euler) with the current power map. The
-  /// (G + C/dt) factorization is cached *per dt value* (small MRU set),
-  /// so workloads alternating between a handful of step sizes — fig12's
-  /// scheduling quanta vs recovery quanta — refactorize only on first
-  /// sight of each dt instead of on every change.
-  void step(Seconds dt);
 
   [[nodiscard]] Celsius temperature(std::size_t tile) const;
   [[nodiscard]] Celsius max_temperature() const;
   [[nodiscard]] Celsius mean_temperature() const;
   [[nodiscard]] const ThermalGridParams& params() const { return params_; }
 
-  /// Counters for the cached solvers (how often they refactorized).
-  [[nodiscard]] const ThermalSolveStats& solve_stats() const {
-    return stats_;
-  }
-
-  /// Checkpoint support. Saves the power map, temperature field, solve
-  /// counters, and the transient cache's dt keys; load_state rebuilds the
-  /// cached factorizations in the same MRU order so a restored grid hits
-  /// and evicts exactly as an uninterrupted one, then restores the
-  /// counters.
+  /// Checkpoint support: the power map and the temperature rise. The
+  /// factorization depends only on the params, so it is not saved.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 
  private:
-  /// Most distinct dt factorizations kept; LRU beyond that.
-  static constexpr std::size_t kMaxTransientFactors = 8;
-
-  void build_conductance();
-  [[nodiscard]] const math::sparse::SpdSolver& transient_solver(double dt);
-
   ThermalGridParams params_;
-  math::sparse::CsrMatrix g_;  // conductance Laplacian + vertical
-  std::unique_ptr<math::sparse::SpdSolver> steady_;
-  /// MRU-ordered (dt, factorization of G + C/dt) cache.
-  std::vector<std::pair<double, std::unique_ptr<math::sparse::SpdSolver>>>
-      transient_;
+  /// Factored conductance Laplacian plus vertical escape.
+  math::sparse::SpdSolver steady_;
   std::vector<double> power_;
   std::vector<double> temp_rise_;  // above ambient
-  ThermalSolveStats stats_;
 };
 
 }  // namespace dh::thermal

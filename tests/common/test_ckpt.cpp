@@ -169,22 +169,29 @@ TEST_F(CkptTest, ForeignFileRejectedAsBadMagic) {
 }
 
 TEST_F(CkptTest, VersionSkewNamesBothVersions) {
-  const std::string p = path("skew.dhck");
-  write_snapshot(p, "unit_test", {1, 2, 3});
-  // Bump the on-disk schema version field (bytes 4..7, little-endian).
-  std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(4);
-  const std::uint32_t future = kSchemaVersion + 41;
-  f.write(reinterpret_cast<const char*>(&future), 4);
-  f.close();
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
-  try {
-    (void)read_snapshot(p);
-    FAIL() << "expected dh::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(std::to_string(kSchemaVersion)), std::string::npos);
-    EXPECT_NE(msg.find(std::to_string(future)), std::string::npos);
+  // A newer build's snapshot and one from the previous schema (v2 files
+  // still carry the thermal transient cache) are both refused.
+  for (const std::uint32_t skewed :
+       {kSchemaVersion + 41, kSchemaVersion - 1}) {
+    const std::string p = path("skew.dhck");
+    write_snapshot(p, "unit_test", {1, 2, 3});
+    // Overwrite the on-disk schema version field (bytes 4..7,
+    // little-endian).
+    std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&skewed), 4);
+    f.close();
+    EXPECT_FALSE(snapshot_valid(p, "unit_test"));
+    try {
+      (void)read_snapshot(p);
+      FAIL() << "expected dh::Error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("version " + std::to_string(kSchemaVersion)),
+                std::string::npos);
+      EXPECT_NE(msg.find("version " + std::to_string(skewed)),
+                std::string::npos);
+    }
   }
 }
 
@@ -227,14 +234,14 @@ TEST_F(CkptTest, TruncatedFileRejected) {
 TEST_F(CkptTest, KindMismatchNamesBothKinds) {
   const std::string p = path("kind.dhck");
   write_snapshot(p, "system_sim", {1});
-  EXPECT_FALSE(snapshot_valid(p, "population_member"));
+  EXPECT_FALSE(snapshot_valid(p, "other_kind"));
   try {
-    (void)read_snapshot(p, "population_member");
+    (void)read_snapshot(p, "other_kind");
     FAIL() << "expected dh::Error";
   } catch (const Error& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("system_sim"), std::string::npos);
-    EXPECT_NE(msg.find("population_member"), std::string::npos);
+    EXPECT_NE(msg.find("other_kind"), std::string::npos);
   }
 }
 

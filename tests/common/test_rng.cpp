@@ -101,16 +101,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, ForkDivergesFromParent) {
-  Rng parent{21};
-  Rng child = parent.fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.uniform() == child.uniform()) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
 namespace {
 
 // Pearson correlation of two equal-length uniform sequences.
@@ -140,26 +130,6 @@ std::vector<double> draw(Rng r, std::size_t n) {
 }
 
 }  // namespace
-
-TEST(Rng, SiblingForksAreStatisticallyIndependent) {
-  // Regression for the old fork(): seeding children from a single raw
-  // mt19937_64 draw XOR'd with a constant produced correlated sibling
-  // streams. With splitmix64-mixed seeds, sibling pair correlations stay
-  // at sampling-noise level (|rho| ~ 1/sqrt(n)).
-  Rng root{123};
-  constexpr std::size_t kSiblings = 8;
-  constexpr std::size_t kDraws = 4000;
-  std::vector<std::vector<double>> streams;
-  for (std::size_t s = 0; s < kSiblings; ++s) {
-    streams.push_back(draw(root.fork(), kDraws));
-  }
-  for (std::size_t a = 0; a < kSiblings; ++a) {
-    for (std::size_t b = a + 1; b < kSiblings; ++b) {
-      EXPECT_LT(std::abs(correlation(streams[a], streams[b])), 0.08)
-          << "fork siblings " << a << " and " << b << " correlate";
-    }
-  }
-}
 
 TEST(Rng, StreamSiblingsAreStatisticallyIndependent) {
   constexpr std::size_t kDraws = 4000;

@@ -1,22 +1,19 @@
 // Checkpoint/restore property tests at the system level: save → restore
-// → run(T') must be bit-identical to an uninterrupted run(T+T') — for a
-// single simulator and for population sweeps, at 1, 4, and 8 threads —
-// and any snapshot that does not match this build/configuration must be
-// refused with a descriptive dh::Error before state is touched.
+// → run(T') must be bit-identical to an uninterrupted run(T+T') at 1, 4,
+// and 8 threads, and any snapshot that does not match this
+// build/configuration must be refused with a descriptive dh::Error before
+// state is touched.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/parallel.hpp"
-#include "sched/population.hpp"
 #include "sched/system_sim.hpp"
 
 namespace dh::sched {
@@ -214,90 +211,19 @@ TEST_F(CkptSystemTest, EnvDrivenCheckpointingResumesKilledRun) {
 
 TEST_F(CkptSystemTest, MalformedCkptEveryRejected) {
   setenv("DH_CKPT_DIR", dir_.string().c_str(), 1);
-  setenv("DH_CKPT_EVERY", "zero", 1);
-  SystemSimulator sim{small_chip(), adaptive()};
-  EXPECT_THROW(sim.run(days(1.0)), Error);
-}
-
-TEST_F(CkptSystemTest, PopulationResumeMatchesFreshSweep) {
-  const auto factory = [](std::size_t) { return adaptive(); };
-  const SystemParams base = small_chip(21);
-  constexpr std::size_t kCount = 6;
-  const Seconds lifetime = days(20.0);
-
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    set_global_thread_count(threads);
-    const fs::path sweep = dir_ / ("sweep_t" + std::to_string(threads));
-    fs::create_directories(sweep);
-
-    const auto plain = run_population(base, kCount, lifetime, factory);
-    const auto fresh =
-        run_population(base, kCount, lifetime, factory, sweep.string());
-    ASSERT_EQ(plain.size(), fresh.size());
-    for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(plain[i], fresh[i]);
-    }
-
-    // Completion bitmap: everything done.
-    for (const bool done : population_completion(sweep.string(), kCount)) {
-      EXPECT_TRUE(done);
-    }
-
-    // Second run resumes every member from disk, bit-identically.
-    obs::Counter& resumed_ctr =
-        obs::registry().counter("population.resumed");
-    const std::uint64_t before = resumed_ctr.value();
-    const auto resumed =
-        run_population(base, kCount, lifetime, factory, sweep.string());
-    EXPECT_EQ(resumed_ctr.value() - before, kCount);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(plain[i], resumed[i]);
+  for (const char* bad : {"zero", "0", "-1", "+8", " 8", "8 ", "0x10",
+                          "99999999999999999999999"}) {
+    setenv("DH_CKPT_EVERY", bad, 1);
+    SystemSimulator sim{small_chip(), adaptive()};
+    try {
+      sim.run(days(1.0));
+      ADD_FAILURE() << "DH_CKPT_EVERY='" << bad << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DH_CKPT_EVERY"),
+                std::string::npos)
+          << e.what();
     }
   }
-}
-
-TEST_F(CkptSystemTest, PopulationRecomputesMissingAndCorruptMembers) {
-  const auto factory = [](std::size_t) { return adaptive(); };
-  const SystemParams base = small_chip(22);
-  constexpr std::size_t kCount = 4;
-  const Seconds lifetime = days(20.0);
-
-  const auto first =
-      run_population(base, kCount, lifetime, factory, dir_.string());
-
-  // Simulate a crash that lost one member and corrupted another.
-  fs::remove(dir_ / "member_1.dhck");
-  { std::ofstream(dir_ / "member_2.dhck") << "garbage"; }
-  const auto done = population_completion(dir_.string(), kCount);
-  EXPECT_TRUE(done[0]);
-  EXPECT_FALSE(done[1]);
-  EXPECT_FALSE(done[2]);
-  EXPECT_TRUE(done[3]);
-
-  const auto second =
-      run_population(base, kCount, lifetime, factory, dir_.string());
-  for (std::size_t i = 0; i < kCount; ++i) {
-    expect_bit_identical(first[i], second[i]);
-  }
-}
-
-TEST_F(CkptSystemTest, PopulationManifestGuardsAgainstSweepMixing) {
-  const auto factory = [](std::size_t) { return adaptive(); };
-  const SystemParams base = small_chip(23);
-  (void)run_population(base, 2, days(10.0), factory, dir_.string());
-
-  // Different member count, lifetime, or base seed → refuse the directory.
-  EXPECT_THROW(
-      (void)run_population(base, 3, days(10.0), factory, dir_.string()),
-      Error);
-  EXPECT_THROW(
-      (void)run_population(base, 2, days(11.0), factory, dir_.string()),
-      Error);
-  SystemParams other = base;
-  other.seed = 99;
-  EXPECT_THROW(
-      (void)run_population(other, 2, days(10.0), factory, dir_.string()),
-      Error);
 }
 
 }  // namespace

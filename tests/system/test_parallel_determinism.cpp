@@ -1,8 +1,8 @@
-// Determinism regressions for the parallel-execution layer: population
-// Monte-Carlo paths must be bit-identical at 1, 2, and 8 threads, and the
-// sparse PDN solve must match a fresh dense solve across a full aging
-// run. These carry the ctest label `parallel` so the tier-1
-// line can run them under TSan (-DDH_SANITIZE=thread).
+// Determinism regressions for the parallel-execution layer: the EM wire
+// population and the SRAM health scan must be bit-identical at 1, 2, and
+// 8 threads, and the sparse PDN solve must match a fresh dense solve
+// across a full aging run. These carry the ctest label `parallel` so the
+// tier-1 line can run them under TSan (-DDH_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,8 +17,6 @@
 #include "em/em_sensor.hpp"
 #include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
-#include "sched/policy.hpp"
-#include "sched/population.hpp"
 #include "sram/sram_array.hpp"
 
 namespace dh {
@@ -91,50 +89,6 @@ TEST_F(ParallelDeterminism, SramScanBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(scans[0].worst_pmos_dvth.value(),
               scans[i].worst_pmos_dvth.value());
   }
-}
-
-TEST_F(ParallelDeterminism, SystemPopulationBitIdenticalAcrossThreadCounts) {
-  sched::SystemParams base;
-  base.rows = base.cols = 2;
-  base.quantum = hours(24.0);
-  // A bursty (Markov) workload consumes the per-member random stream, so
-  // different member seeds genuinely diverge.
-  base.workload.kind = sched::WorkloadKind::kBursty;
-  std::vector<std::vector<sched::SystemSummary>> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    set_global_thread_count(threads);
-    runs.push_back(sched::run_population(
-        base, 6, days(20.0),
-        [](std::size_t) { return sched::make_periodic_active_policy(); }));
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[0].size(), runs[r].size());
-    for (std::size_t i = 0; i < runs[0].size(); ++i) {
-      EXPECT_EQ(runs[0][i].guardband_fraction,
-                runs[r][i].guardband_fraction);
-      EXPECT_EQ(runs[0][i].final_degradation, runs[r][i].final_degradation);
-      EXPECT_EQ(runs[0][i].availability, runs[r][i].availability);
-      EXPECT_EQ(runs[0][i].energy_joules, runs[r][i].energy_joules);
-      EXPECT_EQ(runs[0][i].mean_temperature_c,
-                runs[r][i].mean_temperature_c);
-    }
-  }
-  // Members differ from each other (seeds actually varied).
-  EXPECT_NE(runs[0][0].energy_joules, runs[0][1].energy_joules);
-}
-
-TEST_F(ParallelDeterminism, PopulationAggregatesAreConsistent) {
-  sched::SystemParams base;
-  base.rows = base.cols = 2;
-  base.quantum = hours(24.0);
-  const auto members = sched::run_population(
-      base, 5, days(10.0),
-      [](std::size_t) { return sched::make_periodic_active_policy(); });
-  const auto agg = sched::aggregate_population(members);
-  EXPECT_EQ(agg.members, 5u);
-  EXPECT_GE(agg.mean_availability, 0.0);
-  EXPECT_LE(agg.min_availability, agg.mean_availability);
-  EXPECT_GE(agg.worst_guardband, agg.mean_guardband);
 }
 
 TEST(PdnSolve, MatchesUncachedAcrossAgingRun) {

@@ -282,26 +282,6 @@ TEST(SparseAgreement, ThermalSteadyMatchesDenseAssembly) {
   }
 }
 
-TEST(SparseAgreement, ThermalTransientCacheReusesAlternatingDtFactors) {
-  thermal::ThermalGridParams params;
-  params.rows = 6;
-  params.cols = 6;
-  thermal::ThermalGrid grid{params};
-  std::vector<double> watts(grid.tile_count(), 0.8);
-  grid.set_power_map(watts);
-
-  const Seconds dt_sched{1e-3};
-  const Seconds dt_recovery{5e-3};
-  for (int i = 0; i < 20; ++i) {
-    grid.step(i % 2 == 0 ? dt_sched : dt_recovery);
-  }
-  const auto& st = grid.solve_stats();
-  EXPECT_EQ(st.transient_steps, 20u);
-  // One steady factorization + one per distinct dt; every later step hits.
-  EXPECT_EQ(st.factorizations, 3u);
-  EXPECT_EQ(st.transient_cache_hits, 18u);
-}
-
 TEST(SparseAgreement, ParallelPopulationSweepIsDeterministic) {
   // Per-instance solver state under the thread pool: each task owns its
   // grid (PdnGrid::solve is non-reentrant per instance), seeded from the
@@ -332,6 +312,9 @@ TEST(SparseAgreement, ParallelPopulationSweepIsDeterministic) {
 
 TEST(SparseAgreement, ParallelThermalSweepSharesNothing) {
   constexpr std::size_t kPopulation = 16;
+  // Each task owns its grid and re-solves it under a drifting power map,
+  // so any state shared between instances would show up as a mismatch
+  // against the serial replay.
   const auto peak = [](std::size_t i) {
     thermal::ThermalGridParams params;
     params.rows = 4 + i % 4;
@@ -339,10 +322,14 @@ TEST(SparseAgreement, ParallelThermalSweepSharesNothing) {
     thermal::ThermalGrid grid{params};
     Rng stream = Rng::stream(0x7E4A, i);
     std::vector<double> watts(grid.tile_count());
-    for (auto& v : watts) v = stream.uniform(0.0, 1.5);
-    grid.set_power_map(watts);
-    for (int s = 0; s < 6; ++s) grid.step(Seconds{1e-3 * (1 + s % 2)});
-    return grid.max_temperature().value();
+    double hottest = 0.0;
+    for (int s = 0; s < 6; ++s) {
+      for (auto& v : watts) v = stream.uniform(0.0, 1.5);
+      grid.set_power_map(watts);
+      grid.solve_steady();
+      hottest = std::max(hottest, grid.max_temperature().value());
+    }
+    return hottest;
   };
   const auto parallel = parallel_map(kPopulation, peak);
   for (std::size_t i = 0; i < kPopulation; ++i) {

@@ -59,33 +59,6 @@ TEST(Thermal, HeatSpreadsToIdleNeighbour) {
   EXPECT_GT(idle_center, g.params().ambient.value() + 5.0);
 }
 
-TEST(Thermal, TransientConvergesToSteadyState) {
-  ThermalGrid steady = make_grid();
-  ThermalGrid transient = make_grid();
-  steady.set_power(steady.index(2, 2), Watts{1.0});
-  transient.set_power(transient.index(2, 2), Watts{1.0});
-  steady.solve_steady();
-  for (int i = 0; i < 5000; ++i) {
-    transient.step(Seconds{0.01});
-  }
-  for (std::size_t i = 0; i < steady.tile_count(); ++i) {
-    EXPECT_NEAR(transient.temperature(i).value(),
-                steady.temperature(i).value(), 0.05);
-  }
-}
-
-TEST(Thermal, TransientMovesMonotonicallyTowardSteady) {
-  ThermalGrid g = make_grid();
-  g.set_power(g.index(0, 0), Watts{2.0});
-  double prev = g.params().ambient.value();
-  for (int i = 0; i < 10; ++i) {
-    g.step(Seconds{0.005});
-    const double t = g.temperature(g.index(0, 0)).value();
-    EXPECT_GE(t, prev - 1e-12);
-    prev = t;
-  }
-}
-
 TEST(Thermal, MaxAndMeanConsistent) {
   ThermalGrid g = make_grid();
   g.set_power(g.index(1, 1), Watts{3.0});

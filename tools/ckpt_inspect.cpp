@@ -4,12 +4,10 @@
 //   ckpt_inspect <file.dhck> [more files...]
 //
 // For every file it prints the container header (kind, schema version,
-// payload size, CRC status) and, for the kinds it knows, the leading
-// payload fields: a system_sim snapshot's configuration digest and step
-// counter, a population_member's index/seed/headline metrics, a
-// population_manifest's sweep pins. Exit status is the number of files
-// that failed validation, so the crash-recovery smoke test can assert
-// "all snapshots healthy" with a single invocation.
+// payload size, CRC status) and, for a system_sim snapshot, the leading
+// payload fields: its configuration digest and step counter. Exit status
+// is the number of files that failed validation, so the crash-recovery
+// smoke test can assert "all snapshots healthy" with a single invocation.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -52,40 +50,6 @@ void describe_system_sim(Deserializer& d) {
   }
 }
 
-void describe_population_member(Deserializer& d) {
-  d.expect_section("PMEM");
-  const auto index = d.read_u64();
-  const auto seed = d.read_u64();
-  const double lifetime_s = d.read_f64();
-  d.expect_section("SSUM");
-  const double guardband = d.read_f64();
-  const double final_degradation = d.read_f64();
-  const double ttf_s = d.read_f64();
-  std::printf("  member          %llu (seed %llu)\n",
-              static_cast<unsigned long long>(index),
-              static_cast<unsigned long long>(seed));
-  std::printf("  lifetime        %.1f days\n", lifetime_s / 86400.0);
-  std::printf("  guardband       %.4f\n", guardband);
-  std::printf("  final_degrad    %.4f\n", final_degradation);
-  if (ttf_s >= 0.0) {
-    std::printf("  time_to_failure %.1f days\n", ttf_s / 86400.0);
-  } else {
-    std::printf("  time_to_failure (survived)\n");
-  }
-}
-
-void describe_population_manifest(Deserializer& d) {
-  d.expect_section("PMAN");
-  const auto count = d.read_u64();
-  const double lifetime_s = d.read_f64();
-  const auto seed = d.read_u64();
-  std::printf("  members         %llu\n",
-              static_cast<unsigned long long>(count));
-  std::printf("  lifetime        %.1f days\n", lifetime_s / 86400.0);
-  std::printf("  base seed       %llu\n",
-              static_cast<unsigned long long>(seed));
-}
-
 /// Returns true when the file validated cleanly.
 bool inspect(const std::string& path) {
   std::printf("%s\n", path.c_str());
@@ -110,10 +74,6 @@ bool inspect(const std::string& path) {
     Deserializer d{dh::ckpt::read_snapshot(path)};
     if (header.kind == "system_sim") {
       describe_system_sim(d);
-    } else if (header.kind == "population_member") {
-      describe_population_member(d);
-    } else if (header.kind == "population_manifest") {
-      describe_population_manifest(d);
     }
   } catch (const std::exception& e) {
     std::printf("  PAYLOAD DECODE FAILED: %s\n\n", e.what());
