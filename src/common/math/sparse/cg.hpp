@@ -51,13 +51,22 @@ struct CgResult {
   bool converged = false;
 };
 
+/// pcg_solve's scratch vectors. A caller that solves repeatedly keeps
+/// one and passes it in, so a solve allocates nothing once the vectors
+/// have grown to size. Contents between calls are meaningless.
+struct CgWorkspace {
+  std::vector<double> r, z, p, ap, best_x;
+};
+
 /// Solves A x = b with preconditioner M, starting from the contents of
 /// `x` (resize/zero it for a cold start). Returns the best iterate found.
-/// Throws dh::Error when A or M is detected indefinite (p'Ap <= 0 or
+/// Scratch lives in `workspace` when given, else in locals. Throws
+/// dh::Error when A or M is detected indefinite (p'Ap <= 0 or
 /// r'M^-1r < 0 — the SPD contract is broken, e.g. an asymmetric or
 /// negative-conductance assembly).
 CgResult pcg_solve(const LinearOp& apply_a, std::span<const double> b,
                    const Preconditioner& m, std::vector<double>& x,
-                   const CgOptions& opts = {});
+                   const CgOptions& opts = {},
+                   CgWorkspace* workspace = nullptr);
 
 }  // namespace dh::math::sparse

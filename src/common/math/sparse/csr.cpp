@@ -23,13 +23,18 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
              "CSR col_idx/values size mismatch");
 }
 
-double CsrMatrix::at(std::size_t r, std::size_t c) const {
+std::size_t CsrMatrix::find(std::size_t r, std::size_t c) const {
   DH_REQUIRE(r < rows_ && c < cols_, "CSR index out of range");
   const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
   const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
   const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) return 0.0;
-  return values_[static_cast<std::size_t>(it - col_idx_.begin())];
+  if (it == end || *it != c) return kAbsent;
+  return static_cast<std::size_t>(it - col_idx_.begin());
+}
+
+double CsrMatrix::at(std::size_t r, std::size_t c) const {
+  const std::size_t k = find(r, c);
+  return k == kAbsent ? 0.0 : values_[k];
 }
 
 void CsrMatrix::multiply(std::span<const double> x,
@@ -62,13 +67,25 @@ std::size_t CsrMatrix::bandwidth() const {
   return band;
 }
 
-bool CsrMatrix::is_symmetric() const {
-  if (rows_ != cols_) return false;
+std::vector<std::size_t> CsrMatrix::transpose_index() const {
+  std::vector<std::size_t> t(nnz(), kAbsent);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       const std::size_t c = col_idx_[k];
-      if (c == r) continue;
-      if (at(c, r) != values_[k]) return false;
+      if (c < rows_ && r < cols_) t[k] = find(c, r);
+    }
+  }
+  return t;
+}
+
+bool CsrMatrix::is_symmetric(std::span<const std::size_t> transpose) const {
+  DH_REQUIRE(transpose.size() == nnz(),
+             "transpose index does not match this pattern");
+  if (rows_ != cols_) return false;
+  for (std::size_t k = 0; k < transpose.size(); ++k) {
+    if (transpose[k] == k) continue;  // diagonal
+    if (transpose[k] == kAbsent || values_[transpose[k]] != values_[k]) {
+      return false;
     }
   }
   return true;

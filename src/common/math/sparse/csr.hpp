@@ -38,8 +38,15 @@ class CsrMatrix {
   /// diagonal for a backward-Euler shift without re-assembly).
   [[nodiscard]] std::vector<double>& values() { return values_; }
 
-  /// Entry (r, c); 0 when outside the pattern. Binary search within the
-  /// row — for tests and assembly-time queries, not inner loops.
+  /// `find`'s answer for an entry outside the pattern.
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// Position of entry (r, c) in values(), or kAbsent. Binary search
+  /// within the row — for set-up (scatter maps), not inner loops.
+  [[nodiscard]] std::size_t find(std::size_t r, std::size_t c) const;
+
+  /// Entry (r, c); 0 when outside the pattern (a `find`, so the same
+  /// caveat applies).
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
   /// y = A x (y is resized; no allocation when already n long).
@@ -49,9 +56,19 @@ class CsrMatrix {
   /// Max |r - c| over stored entries (0 for diagonal/empty).
   [[nodiscard]] std::size_t bandwidth() const;
 
+  /// For each stored entry (r, c), the position of its mirror (c, r), or
+  /// kAbsent when the pattern lacks it. Depends on the pattern only, so a
+  /// fixed-pattern user builds it once.
+  [[nodiscard]] std::vector<std::size_t> transpose_index() const;
+
   /// Exact structural and value symmetry (A(r,c) == A(c,r) bit-for-bit;
   /// the assembly paths add both halves from the same expression).
-  [[nodiscard]] bool is_symmetric() const;
+  /// O(nnz) given this pattern's transpose_index().
+  [[nodiscard]] bool is_symmetric(
+      std::span<const std::size_t> transpose) const;
+  [[nodiscard]] bool is_symmetric() const {
+    return is_symmetric(transpose_index());
+  }
 
   /// Dense copy, for tests (the dense-LU agreement oracle).
   [[nodiscard]] Matrix to_dense() const;

@@ -19,24 +19,21 @@ namespace {
               "definite"};
 }
 
-/// Smallest pivot accepted when factoring `a`. Relative to the largest
-/// diagonal entry so that an exactly-singular system (e.g. an ungrounded
-/// Laplacian, whose final pivot is pure rounding noise) is rejected
-/// instead of producing a garbage factor, while merely ill-conditioned
-/// but solvable systems pass.
-double pivot_floor(const CsrMatrix& a) {
-  double max_diag = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    max_diag = std::max(max_diag, std::abs(a.at(i, i)));
-  }
-  const double rel = static_cast<double>(a.rows()) *
+/// Smallest pivot accepted when factoring an n x n matrix whose largest
+/// diagonal magnitude is `max_diag`. Relative to that diagonal so that an
+/// exactly-singular system (e.g. an ungrounded Laplacian, whose final
+/// pivot is pure rounding noise) is rejected instead of producing a
+/// garbage factor, while merely ill-conditioned but solvable systems
+/// pass.
+double pivot_floor(std::size_t n, double max_diag) {
+  const double rel = static_cast<double>(n) *
                      std::numeric_limits<double>::epsilon() * max_diag;
   return std::max(rel, 1e-300);
 }
 
 }  // namespace
 
-TridiagonalCholesky::TridiagonalCholesky(const CsrMatrix& a) {
+void TridiagonalCholesky::factor(const CsrMatrix& a) {
   DH_REQUIRE(a.rows() == a.cols(),
              "tridiagonal factorization requires a square matrix");
   DH_REQUIRE(a.bandwidth() <= 1,
@@ -44,7 +41,11 @@ TridiagonalCholesky::TridiagonalCholesky(const CsrMatrix& a) {
   const std::size_t n = a.rows();
   d_.resize(n);
   l_.resize(n > 0 ? n - 1 : 0);
-  const double floor = pivot_floor(a);
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    max_diag = std::max(max_diag, std::abs(a.at(i, i)));
+  }
+  const double floor = pivot_floor(n, max_diag);
   double prev_d = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     double di = a.at(i, i);
@@ -73,20 +74,32 @@ void TridiagonalCholesky::solve(std::span<const double> b,
 }
 
 BandedCholesky::BandedCholesky(const CsrMatrix& a)
-    : n_(a.rows()), band_(a.bandwidth()) {
+    : n_(a.rows()), band_(a.bandwidth()), l_(n_ * (band_ + 1)) {
   DH_REQUIRE(a.rows() == a.cols(),
              "banded Cholesky requires a square matrix");
-  l_.assign(n_ * (band_ + 1), 0.0);
+  factor(a);
+}
+
+void BandedCholesky::factor(const CsrMatrix& a) {
+  DH_REQUIRE(a.rows() == n_ && a.cols() == n_,
+             "banded Cholesky refactor needs the size it was built for");
+  std::fill(l_.begin(), l_.end(), 0.0);
   // Seed the band with A's lower triangle, then factor in place.
   const auto& ptr = a.row_ptr();
   const auto& col = a.col_idx();
   const auto& val = a.values();
+  double max_diag = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t k = ptr[i]; k < ptr[i + 1]; ++k) {
-      if (col[k] <= i) l(i, col[k]) = val[k];
+      const std::size_t j = col[k];
+      if (j > i) continue;
+      DH_REQUIRE(i - j <= band_,
+                 "banded Cholesky refactor: entry outside the band");
+      l(i, j) = val[k];
+      if (j == i) max_diag = std::max(max_diag, std::abs(val[k]));
     }
   }
-  const double floor = pivot_floor(a);
+  const double floor = pivot_floor(n_, max_diag);
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t j0 = i > band_ ? i - band_ : 0;
     for (std::size_t j = j0; j < i; ++j) {

@@ -19,9 +19,14 @@ namespace dh::math::sparse {
 /// LDL^T factorization of an SPD tridiagonal matrix (bandwidth <= 1).
 class TridiagonalCholesky final : public Preconditioner {
  public:
+  TridiagonalCholesky() = default;
   /// Throws dh::Error when the matrix is wider than tridiagonal or a
   /// pivot is non-positive (not SPD / singular).
-  explicit TridiagonalCholesky(const CsrMatrix& a);
+  explicit TridiagonalCholesky(const CsrMatrix& a) { factor(a); }
+
+  /// Factor `a` into this object's storage (reused when the size is
+  /// unchanged). Throws like the constructor.
+  void factor(const CsrMatrix& a);
 
   void solve(std::span<const double> b, std::vector<double>& x) const;
   void apply(std::span<const double> r,
@@ -38,9 +43,15 @@ class TridiagonalCholesky final : public Preconditioner {
 /// band: L(i, i-k) for k in [0, band].
 class BandedCholesky final : public Preconditioner {
  public:
-  /// Throws dh::Error on a non-positive pivot (not SPD / singular, e.g. a
-  /// conductance Laplacian with no pad path to VDD).
+  /// Sizes the band from `a`'s pattern and factors `a`. Throws dh::Error
+  /// on a non-positive pivot (not SPD / singular, e.g. a conductance
+  /// Laplacian with no pad path to VDD).
   explicit BandedCholesky(const CsrMatrix& a);
+
+  /// Refactor in place: `a` has the size and (at most) the band of the
+  /// matrix this factor was built from, e.g. new values in a fixed
+  /// pattern. Throws like the constructor.
+  void factor(const CsrMatrix& a);
 
   void solve(std::span<const double> b, std::vector<double>& x) const;
   void apply(std::span<const double> r,

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/math/sparse/direct.hpp"
 #include "common/obs/metrics.hpp"
 
 namespace dh::math::sparse {
@@ -36,20 +35,36 @@ const char* to_string(SpdMethod m) {
 }
 
 SpdSolver::SpdSolver(CsrMatrix a)
-    : a_(std::move(a)), method_(SpdMethod::kTridiagonal) {
+    : a_(std::move(a)), transpose_(a_.transpose_index()) {
   DH_REQUIRE(a_.rows() == a_.cols(), "SPD solver requires a square matrix");
-  if (!a_.is_symmetric()) {
+  check_symmetric();
+  if (a_.bandwidth() <= 1) {
+    factor_.emplace<TridiagonalCholesky>(a_);
+  } else {
+    factor_.emplace<BandedCholesky>(a_);
+  }
+  factored_ = true;
+}
+
+void SpdSolver::check_symmetric() const {
+  if (!a_.is_symmetric(transpose_)) {
     throw Error{"SPD solver requires a symmetric matrix; assembly produced "
                 "an asymmetric one (" +
                 std::to_string(a_.rows()) + "x" + std::to_string(a_.cols()) +
                 ", " + std::to_string(a_.nnz()) + " nonzeros)"};
   }
-  if (a_.bandwidth() <= 1) {
-    factor_ = std::make_unique<TridiagonalCholesky>(a_);
-  } else {
-    method_ = SpdMethod::kBandedCholesky;
-    factor_ = std::make_unique<BandedCholesky>(a_);
-  }
+}
+
+void SpdSolver::refactor() {
+  factored_ = false;
+  check_symmetric();
+  std::visit([this](auto& f) { f.factor(a_); }, factor_);
+  factored_ = true;
+}
+
+const Preconditioner& SpdSolver::factor() const {
+  return std::visit(
+      [](const auto& f) -> const Preconditioner& { return f; }, factor_);
 }
 
 void SpdSolver::record(const SpdSolveInfo& info) const {
@@ -63,23 +78,25 @@ void SpdSolver::record(const SpdSolveInfo& info) const {
   residual.set(info.relative_residual);
 }
 
-std::vector<double> SpdSolver::solve(std::span<const double> b,
-                                     SpdSolveInfo* info) const {
+void SpdSolver::solve(std::span<const double> b, std::vector<double>& x,
+                      SpdSolveInfo* info) {
   DH_REQUIRE(b.size() == a_.rows(), "SPD solve dimension mismatch");
+  DH_REQUIRE(factored_, "SPD solve after a failed refactor");
   SpdSolveInfo local;
-  local.method = method_;
+  local.method = method();
   const double b_norm = norm2(b);
   const auto relative = [b_norm](double r) {
     return b_norm > 0.0 ? r / b_norm : 0.0;
   };
-  std::vector<double> x;
-  factor_->apply(b, x);
+  const Preconditioner& m = factor();
+  m.apply(b, x);
   // Price the true residual (one O(nnz) product, cheap next to the
   // back-substitution it follows).
-  std::vector<double> ax(x.size());
-  a_.multiply(x, ax);
-  for (std::size_t i = 0; i < ax.size(); ++i) ax[i] = b[i] - ax[i];
-  local.residual_norm = norm2(ax);
+  a_.multiply(x, residual_);
+  for (std::size_t i = 0; i < residual_.size(); ++i) {
+    residual_[i] = b[i] - residual_[i];
+  }
+  local.residual_norm = norm2(residual_);
   if (relative(local.residual_norm) > kAcceptRelResidual) {
     // Ill-conditioned but solvable systems leave a rounding-sized gap
     // a direct factor cannot close in one sweep; iterative refinement
@@ -93,12 +110,12 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
         [this](std::span<const double> v, std::vector<double>& y) {
           a_.multiply(v, y);
         },
-        b, *factor_, x, refine);
+        b, m, x, refine, &cg_);
     local.cg_iterations = res.iterations;
     local.residual_norm = res.residual_norm;
     if (!res.converged &&
         relative(res.residual_norm) > kRejectRelResidual) {
-      throw Error{std::string{to_string(method_)} +
+      throw Error{std::string{to_string(local.method)} +
                   " solve stalled at relative residual " +
                   std::to_string(relative(res.residual_norm)) +
                   " even with refinement — matrix is singular (zero "
@@ -108,7 +125,6 @@ std::vector<double> SpdSolver::solve(std::span<const double> b,
   local.relative_residual = relative(local.residual_norm);
   record(local);
   if (info != nullptr) *info = local;
-  return x;
 }
 
 }  // namespace dh::math::sparse

@@ -23,23 +23,17 @@ double relax(double x, double target, double decay) {
   return target + (x - target) * decay;
 }
 
-/// One forward-Euler substep of permanent precursor generation and
-/// second-order locking. The divide by p_max_v makes a device's substeps
-/// one serial chain.
-struct PrecursorSubstep {
-  double g;
-  double k_lock;
-  double p_max;
-  double h;
-
-  void operator()(double& pu, double& pl) const {
-    const double saturation = std::max(0.0, 1.0 - (pu + pl) / p_max);
-    const double lock_flux = k_lock * pu * pu;
-    pu += h * (g * saturation - lock_flux);
-    pl += h * lock_flux;
-    pu = std::max(pu, 0.0);
-  }
-};
+/// One forward-Euler substep of permanent precursor generation (`g` at
+/// zero occupancy) and second-order locking. The divide by p_max makes a
+/// device's substeps one serial chain.
+inline void precursor_substep(double g, double k_lock, double p_max, double h,
+                              double& pu, double& pl) {
+  const double saturation = std::max(0.0, 1.0 - (pu + pl) / p_max);
+  const double lock_flux = k_lock * pu * pu;
+  pu += h * (g * saturation - lock_flux);
+  pl += h * lock_flux;
+  pu = std::max(pu, 0.0);
+}
 
 /// Devices whose precursor chains run in lockstep (local arrays).
 constexpr std::size_t kChunk = 64;
@@ -115,47 +109,91 @@ CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
   return step;
 }
 
+void CompactBti::advance(std::span<const CompactBtiStep> steps,
+                         std::span<CompactBti* const> devices) {
+  DH_REQUIRE(steps.size() == devices.size(),
+             "one compact-BTI step per device is required");
+  advance_lanes(steps.data(), 1, devices);
+}
+
 void CompactBti::advance(const CompactBtiStep& step,
                          std::span<CompactBti* const> devices) {
-  if (step.kind == CompactBtiStep::Kind::kNone) return;
-  for (CompactBti* const d : devices) {
-    d->fast_ = relax(d->fast_, step.fast_target, step.fast_decay);
-    d->slow_ = relax(d->slow_, step.slow_target, step.slow_decay);
-    d->pu_ *= step.pu_decay;  // both decays are exactly 1 under stress
-    d->pl_ *= step.pl_decay;
-  }
-  if (step.kind == CompactBtiStep::Kind::kRecover) return;
-  // Running a chunk of devices substep-major lets their independent
-  // precursor chains overlap and the inner loop vectorise; each device
-  // still sees exactly its own sequence of operations.
-  const PrecursorSubstep substep{step.gen_v_per_s, step.k_lock_per_v_s,
-                                 step.p_max_v, step.h};
+  advance_lanes(&step, 0, devices);
+}
+
+void CompactBti::advance_lanes(const CompactBtiStep* steps,
+                               std::size_t stride,
+                               std::span<CompactBti* const> devices) {
+  // Lane j of a chunk holds the chain of chunk device order[j]. Running
+  // the lanes substep-major lets independent chains overlap and the inner
+  // loop vectorise; each device still sees exactly its own sequence of
+  // operations.
+  std::size_t order[kChunk];
+  int substeps[kChunk];
+  double g[kChunk];
+  double k_lock[kChunk];
+  double p_max[kChunk];
+  double h[kChunk];
   double pu[kChunk];
   double pl[kChunk];
   for (std::size_t first = 0; first < devices.size(); first += kChunk) {
-    const std::span<CompactBti* const> chunk =
-        devices.subspan(first, std::min(kChunk, devices.size() - first));
-    const std::size_t n = chunk.size();
+    const std::size_t n = std::min(kChunk, devices.size() - first);
+    const auto step_of = [&](std::size_t i) -> const CompactBtiStep& {
+      return steps[(first + i) * stride];
+    };
+    std::size_t lanes = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      pu[i] = chunk[i]->pu_;
-      pl[i] = chunk[i]->pl_;
+      const CompactBtiStep& step = step_of(i);
+      if (step.kind == CompactBtiStep::Kind::kNone) continue;
+      CompactBti& d = *devices[first + i];
+      d.fast_ = relax(d.fast_, step.fast_target, step.fast_decay);
+      d.slow_ = relax(d.slow_, step.slow_target, step.slow_decay);
+      d.pu_ *= step.pu_decay;  // both decays are exactly 1 under stress
+      d.pl_ *= step.pl_decay;
+      if (step.kind != CompactBtiStep::Kind::kStress) continue;
+      // Insert by descending substep count, so the lanes still running
+      // at any substep are a prefix (a shared step never moves a lane).
+      std::size_t j = lanes++;
+      for (; j > 0 && step_of(order[j - 1]).substeps < step.substeps; --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = i;
     }
-    if (n == 1) {
-      // A lone device (one core, one sensor) keeps its chain in
-      // registers rather than round-tripping it through the arrays.
-      double u = pu[0];
-      double l = pl[0];
-      for (int s = 0; s < step.substeps; ++s) substep(u, l);
-      pu[0] = u;
-      pl[0] = l;
-    } else {
-      for (int s = 0; s < step.substeps; ++s) {
-        for (std::size_t i = 0; i < n; ++i) substep(pu[i], pl[i]);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const CompactBtiStep& step = step_of(order[j]);
+      const CompactBti& d = *devices[first + order[j]];
+      substeps[j] = step.substeps;
+      g[j] = step.gen_v_per_s;
+      k_lock[j] = step.k_lock_per_v_s;
+      p_max[j] = step.p_max_v;
+      h[j] = step.h;
+      pu[j] = d.pu_;
+      pl[j] = d.pl_;
+    }
+    std::size_t live = lanes;
+    int s = 0;
+    for (;; ++s) {
+      while (live > 0 && substeps[live - 1] <= s) --live;
+      if (live <= 1) break;
+      for (std::size_t j = 0; j < live; ++j) {
+        precursor_substep(g[j], k_lock[j], p_max[j], h[j], pu[j], pl[j]);
       }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      chunk[i]->pu_ = pu[i];
-      chunk[i]->pl_ = pl[i];
+    if (live == 1) {
+      // The longest chain (a lone device's whole chain) finishes alone,
+      // in registers rather than round-tripping through the arrays.
+      double u = pu[0];
+      double l = pl[0];
+      for (; s < substeps[0]; ++s) {
+        precursor_substep(g[0], k_lock[0], p_max[0], h[0], u, l);
+      }
+      pu[0] = u;
+      pl[0] = l;
+    }
+    for (std::size_t j = 0; j < lanes; ++j) {
+      CompactBti& d = *devices[first + order[j]];
+      d.pu_ = pu[j];
+      d.pl_ = pl[j];
     }
   }
 }

@@ -10,6 +10,7 @@
 // against the full ensemble is quantified by bench/ablation_compact_models.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "device/bti_types.hpp"
@@ -51,8 +52,9 @@ struct CompactBtiParams {
 
 /// The coefficients of one advance under a fixed (params, condition, dt):
 /// pool targets and decays, and the precursor substep schedule. They do
-/// not depend on device state, so devices that share params compute them
-/// once (`CompactBti::prepare`) and advance as a batch.
+/// not depend on device state, so they are computed once per
+/// (params, condition, dt) (`CompactBti::prepare`) and devices advance as
+/// a batch.
 struct CompactBtiStep {
   enum class Kind { kNone, kStress, kRecover };
   Kind kind = Kind::kNone;  // kNone: dt == 0, the state is left as is
@@ -86,10 +88,15 @@ class CompactBti {
                                               const BtiCondition& condition,
                                               Seconds dt);
 
-  /// Apply `step` to each of `devices`: distinct devices whose params are
-  /// the ones `step` was prepared from. Each device ends bit-identical to
-  /// its own `apply`; the precursor substeps of up to 64 devices run in
-  /// lockstep, so their serial Euler chains overlap.
+  /// Apply `steps[i]` to `devices[i]`, each step prepared from its
+  /// device's params; the devices are distinct. Each device ends
+  /// bit-identical to its own `apply`. The precursor substeps of up to 64
+  /// stressed devices run in lockstep, so their serial Euler chains
+  /// overlap: the lanes are ordered by descending substep count and each
+  /// substep runs over the prefix of lanes that still have one to go.
+  static void advance(std::span<const CompactBtiStep> steps,
+                      std::span<CompactBti* const> devices);
+  /// The same kernel with one `step` shared by every device.
   static void advance(const CompactBtiStep& step,
                       std::span<CompactBti* const> devices);
 
@@ -104,6 +111,11 @@ class CompactBti {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  /// The kernel: device i takes `steps[i * stride]` (stride 0 shares one
+  /// step across the batch).
+  static void advance_lanes(const CompactBtiStep* steps, std::size_t stride,
+                            std::span<CompactBti* const> devices);
+
   CompactBtiParams params_;
   double fast_ = 0.0;
   double slow_ = 0.0;

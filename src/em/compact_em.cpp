@@ -30,6 +30,7 @@ CompactEm::CompactEm(CompactEmParams params) : params_(params) {
                   .value();
   }
   DH_REQUIRE(tau_mid > 0.0, "reference timescale must be positive");
+  kappa_ref_ = params_.material.kappa(to_kelvin(params_.t_ref));
   taus_ = {tau_mid / params_.tau_spread, tau_mid,
            tau_mid * params_.tau_spread};
   // Each pool saturates to 2*G*sqrt(kappa*tau_k/pi)*gain; we store the
@@ -61,9 +62,7 @@ void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
   // Temperature scales the pool kinetics through kappa (same Arrhenius as
   // the PDE). Pool targets follow the signed driving force; while a void
   // is open the stressed end is a free surface, so targets collapse to 0.
-  const double kappa_ref =
-      params_.material.kappa(to_kelvin(params_.t_ref));
-  const double speedup = kappa / kappa_ref;
+  const double speedup = kappa / kappa_ref_;
   for (std::size_t k = 0; k < taus_.size(); ++k) {
     const double target =
         void_open_ ? 0.0 : g * std::sqrt(kappa) * gains_[k];

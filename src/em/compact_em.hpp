@@ -64,7 +64,7 @@ class CompactEm {
   [[nodiscard]] const CompactEmParams& params() const { return params_; }
 
   /// Checkpoint support: bit-exact snapshot of the pool and void states
-  /// (taus/gains are derived from params at construction).
+  /// (taus/gains/kappa_ref are derived from params at construction).
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 
@@ -73,6 +73,7 @@ class CompactEm {
   std::array<double, 3> taus_{};   // pool time constants (s)
   std::array<double, 3> gains_{};  // pool saturation gains (Pa per unit G*sqrt..)
   std::array<double, 3> pools_{};  // pool states (Pa)
+  double kappa_ref_ = 0.0;  // kappa at t_ref, the pool-kinetics reference
   bool void_open_ = false;
   int void_polarity_ = 0;  // +1: forward-current cathode end; -1: other end
   double void_mobile_m_ = 0.0;

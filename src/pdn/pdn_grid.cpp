@@ -1,10 +1,10 @@
 #include "pdn/pdn_grid.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/math/sparse/spd_solver.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/profile.hpp"
 
@@ -28,35 +28,66 @@ PdnMetrics& pdn_metrics() {
   return *m;
 }
 
+PdnParams checked(PdnParams p) {
+  DH_REQUIRE(p.rows >= 2 && p.cols >= 2, "PDN grid needs at least 2x2 nodes");
+  DH_REQUIRE(p.vdd.value() > 0.0, "PDN VDD must be positive");
+  DH_REQUIRE(p.pad_resistance.value() > 0.0,
+             "pad resistance must be positive");
+  for (const std::size_t pad : p.pad_nodes) {
+    DH_REQUIRE(pad < p.rows * p.cols, "pad node out of range");
+  }
+  return p;
+}
+
+std::vector<PdnGrid::Segment> mesh_segments(const PdnParams& p) {
+  std::vector<PdnGrid::Segment> segments;
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      const std::size_t i = r * p.cols + c;
+      if (c + 1 < p.cols) segments.push_back({i, i + 1});
+      if (r + 1 < p.rows) segments.push_back({i, i + p.cols});
+    }
+  }
+  return segments;
+}
+
+/// The pad nodes; empty params mean the four corners.
+std::vector<std::size_t> pad_nodes(const PdnParams& p) {
+  if (p.pad_nodes.empty()) {
+    return {0, p.cols - 1, (p.rows - 1) * p.cols, p.rows * p.cols - 1};
+  }
+  return p.pad_nodes;
+}
+
+/// The conductance matrix's fixed pattern: the 5-point stencil (diagonal
+/// plus up to 4 mesh neighbours per node). Unit conductances keep it SPD
+/// so the solver can factor it at construction.
+math::sparse::CsrMatrix conductance_pattern(
+    std::size_t nodes, const std::vector<PdnGrid::Segment>& segments,
+    const std::vector<std::size_t>& pads) {
+  math::sparse::CsrBuilder builder(nodes, nodes, 5);
+  for (const PdnGrid::Segment& seg : segments) {
+    builder.add_edge(seg.a, seg.b, 1.0);
+  }
+  for (const std::size_t p : pads) builder.add_diagonal(p, 1.0);
+  return builder.build();
+}
+
 }  // namespace
 
-PdnGrid::PdnGrid(PdnParams params) : params_(std::move(params)) {
-  DH_REQUIRE(params_.rows >= 2 && params_.cols >= 2,
-             "PDN grid needs at least 2x2 nodes");
-  DH_REQUIRE(params_.vdd.value() > 0.0, "PDN VDD must be positive");
-  DH_REQUIRE(params_.pad_resistance.value() > 0.0,
-             "pad resistance must be positive");
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    for (std::size_t c = 0; c < params_.cols; ++c) {
-      const std::size_t i = r * params_.cols + c;
-      if (c + 1 < params_.cols) segments_.push_back({i, i + 1});
-      if (r + 1 < params_.rows) segments_.push_back({i, i + params_.cols});
-    }
+PdnGrid::PdnGrid(PdnParams params)
+    : params_(checked(std::move(params))),
+      segments_(mesh_segments(params_)),
+      pads_(pad_nodes(params_)),
+      solver_(conductance_pattern(node_count(), segments_, pads_)) {
+  const math::sparse::CsrMatrix& g = solver_.matrix();
+  segment_slots_.reserve(segments_.size());
+  for (const auto [a, b] : segments_) {
+    segment_slots_.push_back({g.find(a, a), g.find(b, b), g.find(a, b),
+                              g.find(b, a)});
   }
-  if (params_.pad_nodes.empty()) {
-    pads_ = {node_index(0, 0), node_index(0, params_.cols - 1),
-             node_index(params_.rows - 1, 0),
-             node_index(params_.rows - 1, params_.cols - 1)};
-  } else {
-    pads_ = params_.pad_nodes;
-    for (const std::size_t p : pads_) {
-      DH_REQUIRE(p < node_count(), "pad node out of range");
-    }
-  }
-  // Without at least one pad the conductance matrix has no path to VDD
-  // and is exactly singular — fail here with a clear message instead of
-  // letting the LU solver hit a zero pivot mid-simulation.
-  DH_REQUIRE(!pads_.empty(), "PDN needs at least one pad node");
+  pad_slots_.reserve(pads_.size());
+  for (const std::size_t p : pads_) pad_slots_.push_back(g.find(p, p));
 }
 
 std::size_t PdnGrid::node_index(std::size_t row, std::size_t col) const {
@@ -94,29 +125,14 @@ math::Matrix PdnGrid::assemble_conductance(
   return g;
 }
 
-std::vector<double> PdnGrid::assemble_rhs(
-    std::span<const double> load_amps) const {
-  const std::size_t n = node_count();
-  std::vector<double> rhs(n, 0.0);
+void PdnGrid::assemble_rhs(std::span<const double> load_amps,
+                           std::vector<double>& rhs) const {
+  rhs.assign(node_count(), 0.0);
   const double g_pad = 1.0 / params_.pad_resistance.value();
   for (const std::size_t p : pads_) {
     rhs[p] += g_pad * params_.vdd.value();
   }
-  for (std::size_t i = 0; i < n; ++i) rhs[i] -= load_amps[i];
-  return rhs;
-}
-
-math::sparse::CsrMatrix PdnGrid::assemble_conductance_csr(
-    std::span<const double> segment_resistance) const {
-  // 5-point stencil: diagonal + up to 4 mesh neighbours per node.
-  math::sparse::CsrBuilder builder(node_count(), node_count(), 5);
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    builder.add_edge(segments_[s].a, segments_[s].b,
-                     1.0 / segment_resistance[s]);
-  }
-  const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) builder.add_diagonal(p, g_pad);
-  return builder.build();
+  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= load_amps[i];
 }
 
 void PdnGrid::check_inputs(std::span<const double> load_amps,
@@ -157,16 +173,32 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
   ++solve_stats_.solves;
   pdn_metrics().solves.add();
 
-  const math::sparse::SpdSolver solver = [&] {
+  {
     DH_PROF_SCOPE("pdn.refactorize");
-    return math::sparse::SpdSolver{
-        assemble_conductance_csr(segment_resistance)};
-  }();
+    // Scatter into the fixed pattern in a CsrBuilder assembly's
+    // summation order: every entry starts at 0, a diagonal adds its
+    // segments in segment order and then its pad terms.
+    const std::span<double> g = solver_.values();
+    std::fill(g.begin(), g.end(), 0.0);
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      const double cond = 1.0 / segment_resistance[s];
+      const SegmentSlots& k = segment_slots_[s];
+      g[k.aa] += cond;
+      g[k.bb] += cond;
+      g[k.ab] += -cond;
+      g[k.ba] += -cond;
+    }
+    const double g_pad = 1.0 / params_.pad_resistance.value();
+    for (const std::size_t k : pad_slots_) g[k] += g_pad;
+    solver_.refactor();
+  }
   ++solve_stats_.factorizations;
   pdn_metrics().factorizations.add();
 
+  assemble_rhs(load_amps, rhs_);
   math::sparse::SpdSolveInfo info;
-  std::vector<double> v = solver.solve(assemble_rhs(load_amps), &info);
+  std::vector<double> v;
+  solver_.solve(rhs_, v, &info);
   solve_stats_.cg_iterations += info.cg_iterations;
   pdn_metrics().cg_iterations.add(info.cg_iterations);
   return finish_solution(std::move(v), segment_resistance);
@@ -177,8 +209,9 @@ PdnSolution PdnGrid::solve_uncached(
     std::span<const double> segment_resistance) const {
   check_inputs(load_amps, segment_resistance);
   const math::Matrix g = assemble_conductance(segment_resistance);
-  return finish_solution(math::solve_dense(g, assemble_rhs(load_amps)),
-                         segment_resistance);
+  std::vector<double> rhs;
+  assemble_rhs(load_amps, rhs);
+  return finish_solution(math::solve_dense(g, rhs), segment_resistance);
 }
 
 AmpsPerM2 PdnGrid::current_density(double current_a) const {

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/math/linalg.hpp"
-#include "common/math/sparse/csr.hpp"
+#include "common/math/sparse/spd_solver.hpp"
 #include "common/units.hpp"
 #include "em/wire.hpp"
 
@@ -81,12 +81,14 @@ class PdnGrid {
   /// Solve the mesh: `load_amps` is the current drawn at each node;
   /// `segment_resistance` allows aged overrides (same order as segments).
   ///
-  /// Runs on the sparse engine (common/math/sparse): every call assembles
-  /// the CSR conductance matrix, factors it (banded Cholesky) and
-  /// back-substitutes. Nothing is cached, so the answer depends only on
-  /// the arguments. The solve counters make this method non-reentrant: a
-  /// PdnGrid instance must not be solved from two threads at once
-  /// (parallel sweeps give each task its own grid).
+  /// Runs on the sparse engine (common/math/sparse). The conductance
+  /// matrix's pattern is fixed at construction; every call scatters the
+  /// conductances into its values, refactors in place (banded Cholesky)
+  /// and back-substitutes. No result is cached, so the answer depends
+  /// only on the arguments. The grid owns the factor and the solve
+  /// workspace, and they and the solve counters make this method
+  /// non-reentrant: a PdnGrid instance must not be solved from two
+  /// threads at once (parallel sweeps give each task its own grid).
   [[nodiscard]] PdnSolution solve(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
@@ -116,19 +118,28 @@ class PdnGrid {
  private:
   [[nodiscard]] math::Matrix assemble_conductance(
       std::span<const double> segment_resistance) const;
-  [[nodiscard]] math::sparse::CsrMatrix assemble_conductance_csr(
-      std::span<const double> segment_resistance) const;
-  [[nodiscard]] std::vector<double> assemble_rhs(
-      std::span<const double> load_amps) const;
+  void assemble_rhs(std::span<const double> load_amps,
+                    std::vector<double>& rhs) const;
   void check_inputs(std::span<const double> load_amps,
                     std::span<const double> segment_resistance) const;
   [[nodiscard]] PdnSolution finish_solution(
       std::vector<double> node_voltage,
       std::span<const double> segment_resistance) const;
 
+  /// Positions in the conductance values of a segment's four stencil
+  /// entries: its two diagonals and the two off-diagonals.
+  struct SegmentSlots {
+    std::size_t aa, bb, ab, ba;
+  };
+
   PdnParams params_;
   std::vector<Segment> segments_;
   std::vector<std::size_t> pads_;
+  // Solve state, reused by every solve (see solve(): non-reentrant).
+  mutable math::sparse::SpdSolver solver_;  // fixed conductance pattern
+  std::vector<SegmentSlots> segment_slots_;  // scatter map, per segment
+  std::vector<std::size_t> pad_slots_;       // scatter map, per pad
+  mutable std::vector<double> rhs_;
   mutable PdnSolveStats solve_stats_;  // logically const: telemetry
 };
 

@@ -3,6 +3,8 @@
 // PDN.
 #pragma once
 
+#include <span>
+
 #include "common/units.hpp"
 #include "device/compact_bti.hpp"
 #include "device/ring_oscillator.hpp"
@@ -40,8 +42,19 @@ class Core {
   explicit Core(CoreParams params);
 
   /// Advance one scheduling quantum. `utilization` applies to kRun.
+  /// `step_all` on this core alone.
   void step(CoreAction action, double utilization, Celsius temperature,
             Seconds dt);
+
+  /// Advance every core one quantum: core i as `step(actions[i],
+  /// utilization[i], temperatures[i], dt)`, bit for bit, but with all the
+  /// cores' BTI precursor chains in lockstep (CompactBti::advance). A
+  /// running core is stressed for its utilized fraction, then relaxes.
+  /// Throws before any core moves when a utilization is outside [0, 1].
+  static void step_all(std::span<Core> cores,
+                       std::span<const CoreAction> actions,
+                       std::span<const double> utilization,
+                       std::span<const Celsius> temperatures, Seconds dt);
 
   [[nodiscard]] Volts delta_vth() const { return bti_.delta_vth(); }
   [[nodiscard]] device::BtiBreakdown bti_breakdown() const {
@@ -68,6 +81,14 @@ class Core {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  /// The BTI step of phase `phase` of this core's quantum: 0 is the
+  /// stressed part of a run, or all of an idle or recovery quantum; 1 is
+  /// the relaxed part of a run.
+  [[nodiscard]] device::CompactBtiStep phase_step(int phase, CoreAction action,
+                                                  double utilization,
+                                                  Celsius temperature,
+                                                  Seconds dt) const;
+
   CoreParams params_;
   device::CompactBti bti_;
   device::RingOscillator ro_;

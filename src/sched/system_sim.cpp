@@ -177,16 +177,19 @@ void SystemSimulator::step() {
   thermal_.set_power_map(power);
   thermal_.solve_steady();
 
-  // 5. Core aging at tile temperature. The compact-BTI evaluation count
-  // is batched into one add so the per-core loop carries no telemetry.
+  // 5. Core aging at tile temperature, all cores in one lockstep batch.
+  // The compact-BTI evaluation count is batched into one add so the
+  // per-core loop carries no telemetry.
   static obs::Counter& bti_evals =
       obs::registry().counter("bti.compact.evals");
   bti_evals.add(n);
+  std::vector<Celsius> temps;
+  temps.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) temps.push_back(thermal_.temperature(i));
+  Core::step_all(cores_, decision.actions, util, temps, dt);
   double delivered = 0.0;
   double demanded = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Celsius t = thermal_.temperature(i);
-    cores_[i].step(decision.actions[i], util[i], t, dt);
     demanded += demand[i];
     if (decision.actions[i] == CoreAction::kRun) {
       // Throughput delivered scales with the aged clock.
@@ -294,13 +297,15 @@ void SystemSimulator::run(Seconds lifetime) {
                     "' must be a positive integer (quanta per checkpoint)");
       }
     }
-    // Seed-qualified name so simulators of different seeds sharing one
-    // directory never collide.
+    // Seed- and policy-qualified name so simulators of different seeds or
+    // policies sharing one directory never collide (policy names are
+    // filename-safe).
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best-effort; write errors
                                                    // surface with the path
     ckpt_path = std::string(dir) + "/sim_seed" +
-                std::to_string(params_.seed) + ".dhck";
+                std::to_string(params_.seed) + "_" + policy_->name() +
+                ".dhck";
     if (steps_ == 0 && ckpt::snapshot_valid(ckpt_path, "system_sim")) {
       load_checkpoint(ckpt_path);
     }

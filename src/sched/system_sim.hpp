@@ -70,7 +70,8 @@ class SystemSimulator {
   /// Run until `lifetime` has elapsed. When the DH_CKPT_DIR environment
   /// variable names a directory, the run checkpoints itself there every
   /// DH_CKPT_EVERY quanta (default 64) under
-  /// `<dir>/sim_seed<seed>.dhck`, and — if a valid checkpoint for this
+  /// `<dir>/sim_seed<seed>_<policy-name>.dhck`, and — if a valid
+  /// checkpoint for this
   /// configuration already exists and no steps have run yet — resumes
   /// from it bit-identically, so a killed run loses at most one
   /// checkpoint interval.

@@ -173,6 +173,96 @@ TEST(Cg, IndefiniteOperatorRaisesCurvatureError) {
   }
 }
 
+TEST(Cg, ReusedWorkspaceCarriesNothingOver) {
+  // One workspace across different systems and starts, including a start
+  // that is already converged (no iteration runs), must give exactly the
+  // results of fresh local scratch.
+  Rng rng{5};
+  CgWorkspace ws;
+  for (int k = 0; k < 6; ++k) {
+    const CsrMatrix a = grid_laplacian(3 + k % 3, 5, 0.2, &rng);
+    const LinearOp op = [&](std::span<const double> v,
+                            std::vector<double>& y) { a.multiply(v, y); };
+    std::vector<double> b(a.rows());
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> start(a.rows(), 0.0);
+    if (k == 3) {
+      // Converged start: the exact solution of a fresh solve.
+      std::vector<double> exact;
+      (void)pcg_solve(op, b, IdentityPreconditioner{}, exact, {});
+      start = exact;
+    }
+    std::vector<double> x_ws = start;
+    std::vector<double> x_local = start;
+    const CgOptions opts{.rel_tolerance = 1e-6};
+    const CgResult r_ws =
+        pcg_solve(op, b, IdentityPreconditioner{}, x_ws, opts, &ws);
+    const CgResult r_local =
+        pcg_solve(op, b, IdentityPreconditioner{}, x_local, opts);
+    EXPECT_EQ(x_ws, x_local) << "system " << k;
+    EXPECT_EQ(r_ws.iterations, r_local.iterations) << "system " << k;
+    EXPECT_EQ(r_ws.residual_norm, r_local.residual_norm) << "system " << k;
+    if (k == 3) {
+      EXPECT_EQ(r_ws.iterations, 0u);
+    }
+  }
+}
+
+TEST(SpdSolver, RefactorMatchesFreshSolverAndRecoversFromFailures) {
+  // New values written into the fixed pattern, then refactor(): each
+  // solve must equal a fresh solver's bit for bit. Asymmetric and
+  // indefinite values must throw from refactor, the solver must refuse
+  // to solve until a refactor succeeds, and nothing may carry over.
+  Rng rng{19};
+  for (const std::size_t rows : {1ul, 6ul}) {
+    SpdSolver solver{grid_laplacian(rows, 9, 0.3, &rng)};
+    std::vector<double> b(rows * 9);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> x;
+    for (int k = 0; k < 5; ++k) {
+      const CsrMatrix next = grid_laplacian(rows, 9, 0.3, &rng);
+      if (k == 2) {
+        const std::span<double> vals = solver.values();
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+          vals[i] = next.values()[i];
+        }
+        vals[1] += 1e-3;  // (0, 1) without its mirror (1, 0)
+        EXPECT_THROW(solver.refactor(), Error);
+        EXPECT_THROW(solver.solve(b, x), Error);
+      }
+      if (k == 3) {
+        const std::span<double> vals = solver.values();
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+          vals[i] = next.values()[i];
+        }
+        vals[next.find(2, 2)] = -5.0;
+        try {
+          solver.refactor();
+          ADD_FAILURE() << "indefinite values were factored";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string{e.what()}.find("not positive definite"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+      const std::span<double> vals = solver.values();
+      ASSERT_EQ(vals.size(), next.nnz());
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        vals[i] = next.values()[i];
+      }
+      solver.refactor();
+      SpdSolveInfo info;
+      solver.solve(b, x, &info);
+      SpdSolver fresh{next};
+      SpdSolveInfo fresh_info;
+      std::vector<double> want;
+      fresh.solve(b, want, &fresh_info);
+      EXPECT_EQ(x, want) << rows << " rows, step " << k;
+      EXPECT_EQ(info.residual_norm, fresh_info.residual_norm);
+    }
+  }
+}
+
 TEST(SpdSolver, PicksMethodFromStructure) {
   const SpdSolver tri{grid_laplacian(1, 32, 0.2)};
   EXPECT_EQ(tri.method(), SpdMethod::kTridiagonal);
@@ -191,9 +281,10 @@ TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
     for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
     const auto x_ref = solve_dense(a.to_dense(), rhs);
 
-    const SpdSolver solver{a};
+    SpdSolver solver{a};
     SpdSolveInfo info;
-    const auto x = solver.solve(rhs, &info);
+    std::vector<double> x;
+    solver.solve(rhs, x, &info);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_NEAR(x[i], x_ref[i], 1e-10)
           << "method " << to_string(info.method) << " row count " << rows;
@@ -246,8 +337,9 @@ TEST(SpdSolver, SingularRaisesDescriptiveErrorOnEveryPath) {
   for (const std::size_t rows : {1ul, 6ul, 20ul}) {
     EXPECT_THROW(
         {
-          const SpdSolver solver{grid_laplacian(rows, 21, 0.0)};
-          (void)solver.solve(std::vector<double>(rows * 21, 1.0));
+          SpdSolver solver{grid_laplacian(rows, 21, 0.0)};
+          std::vector<double> x;
+          solver.solve(std::vector<double>(rows * 21, 1.0), x);
         },
         Error)
         << rows << "x21 ungrounded Laplacian must not solve";

@@ -249,8 +249,40 @@ TEST(CompactBtiBatch, AdvanceMatchesPerDeviceApplyBitForBit) {
               << "n=" << n << " round=" << round << " device=" << i;
         }
       }
+      // One step per device: stress, recovery and zero-dt (kNone) lanes
+      // mixed, with 1 to 72 precursor substeps, so lanes drop out of the
+      // lockstep at different substeps on both sides of a chunk boundary.
+      for (int round = 0; round < 12; ++round) {
+        std::vector<BtiCondition> conditions;
+        std::vector<Seconds> dts;
+        std::vector<CompactBtiStep> steps;
+        for (std::size_t i = 0; i < n; ++i) {
+          conditions.push_back(random_condition(rng));
+          const int substeps = rng.uniform_int(1, 72);
+          dts.push_back(rng.uniform_int(0, 9) == 0
+                            ? Seconds{0.0}
+                            : Seconds{300.0 * substeps -
+                                      rng.uniform(0.0, 299.0)});
+          steps.push_back(CompactBti::prepare(params, conditions[i], dts[i]));
+        }
+        CompactBti::advance(steps, devices);
+        for (std::size_t i = 0; i < n; ++i) {
+          reference[i].apply(conditions[i], dts[i]);
+          ASSERT_EQ(state_bytes(batched[i]), state_bytes(reference[i]))
+              << "per-device steps, n=" << n << " round=" << round
+              << " device=" << i << " substeps=" << steps[i].substeps;
+        }
+      }
     }
   }
+}
+
+TEST(CompactBtiBatch, PerDeviceAdvanceNeedsOneStepPerDevice) {
+  std::vector<CompactBti> devices(2);
+  std::vector<CompactBti*> ptrs{&devices[0], &devices[1]};
+  const std::vector<CompactBtiStep> one{CompactBti::prepare(
+      {}, paper_conditions::accelerated_stress(), hours(1.0))};
+  EXPECT_THROW(CompactBti::advance(one, ptrs), Error);
 }
 
 TEST(CompactBtiBatch, ZeroDtLeavesStateUntouched) {

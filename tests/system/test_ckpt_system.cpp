@@ -193,7 +193,8 @@ TEST_F(CkptSystemTest, EnvDrivenCheckpointingResumesKilledRun) {
     SystemSimulator interrupted{small_chip(), adaptive()};
     interrupted.run(days(30.0));
   }
-  EXPECT_TRUE(ckpt::snapshot_valid(path("sim_seed7.dhck"), "system_sim"));
+  EXPECT_TRUE(ckpt::snapshot_valid(path("sim_seed7_adaptive-sensor.dhck"),
+                                   "system_sim"));
 
   // Fresh process stand-in: a new simulator auto-resumes from the
   // checkpoint directory and finishes the lifetime.
@@ -207,6 +208,48 @@ TEST_F(CkptSystemTest, EnvDrivenCheckpointingResumesKilledRun) {
 
   expect_bit_identical(reference.summary(), resumed.summary());
   expect_traces_identical(reference, resumed);
+}
+
+TEST_F(CkptSystemTest, SharedCkptDirKeepsPoliciesApart) {
+  // Two simulators with the same seed but different policies checkpoint
+  // into one directory (as fig12_system_schedule's five policy runs do).
+  // Each must find and resume its own snapshot, never the other's.
+  const auto periodic = [] {
+    return make_periodic_active_policy({.period = hours(24.0),
+                                        .bti_recovery_fraction = 0.25,
+                                        .em_recovery_duty = 0.2});
+  };
+  setenv("DH_CKPT_DIR", dir_.string().c_str(), 1);
+  setenv("DH_CKPT_EVERY", "16", 1);
+  {
+    SystemSimulator a{small_chip(), adaptive()};
+    a.run(days(30.0));
+    SystemSimulator b{small_chip(), periodic()};
+    b.run(days(30.0));
+  }
+  EXPECT_TRUE(ckpt::snapshot_valid(path("sim_seed7_adaptive-sensor.dhck"),
+                                   "system_sim"));
+  EXPECT_TRUE(ckpt::snapshot_valid(path("sim_seed7_periodic-active.dhck"),
+                                   "system_sim"));
+
+  obs::Counter& resumes = obs::registry().counter("sim.resume");
+  const std::uint64_t resumes_before = resumes.value();
+  SystemSimulator resumed_a{small_chip(), adaptive()};
+  resumed_a.run(days(60.0));
+  SystemSimulator resumed_b{small_chip(), periodic()};
+  resumed_b.run(days(60.0));
+  EXPECT_EQ(resumes.value() - resumes_before, 2u);
+
+  unsetenv("DH_CKPT_DIR");
+  unsetenv("DH_CKPT_EVERY");
+  SystemSimulator reference_a{small_chip(), adaptive()};
+  reference_a.run(days(60.0));
+  SystemSimulator reference_b{small_chip(), periodic()};
+  reference_b.run(days(60.0));
+  expect_bit_identical(reference_a.summary(), resumed_a.summary());
+  expect_traces_identical(reference_a, resumed_a);
+  expect_bit_identical(reference_b.summary(), resumed_b.summary());
+  expect_traces_identical(reference_b, resumed_b);
 }
 
 TEST_F(CkptSystemTest, MalformedCkptEveryRejected) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace dh::sched {
 namespace {
@@ -100,6 +103,95 @@ TEST(CoreModel, SupplyCurrentMatchesPower) {
 TEST(CoreModel, InvalidUtilizationRejected) {
   Core c = make_core();
   EXPECT_THROW(c.step(CoreAction::kRun, 1.5, Celsius{85.0}, hours(1.0)),
+               dh::Error);
+}
+
+/// One core's quantum written out with CompactBti::apply, independent of
+/// Core::step and Core::step_all: stress for the utilized fraction of a
+/// run, then passive recovery; the whole quantum for idle or recovery.
+void oracle_step(device::CompactBti& bti, const CoreParams& p,
+                 CoreAction action, double u, Celsius t, Seconds dt) {
+  switch (action) {
+    case CoreAction::kRun:
+      if (dt.value() * u > 0.0) {
+        bti.apply({p.vdd, t}, Seconds{dt.value() * u});
+      }
+      if (dt.value() * (1.0 - u) > 0.0) {
+        bti.apply({Volts{0.0}, t}, Seconds{dt.value() * (1.0 - u)});
+      }
+      break;
+    case CoreAction::kIdle:
+      bti.apply({Volts{0.0}, t}, dt);
+      break;
+    case CoreAction::kBtiActiveRecovery:
+      bti.apply({p.active_recovery_bias, t}, dt);
+      break;
+  }
+}
+
+TEST(CoreModel, StepAllMatchesPerCoreStepBitForBit) {
+  // 37 cores: more than one lockstep block, with a partial last one.
+  // Every action, utilizations at 0, 1 and in between, per-core
+  // temperatures and a hot-core parameter set next to the default.
+  CoreParams hot;
+  hot.vdd = Volts{1.0};
+  hot.bti.gen_rate_ref_v_per_s = 9e-7;
+  Rng rng{1207};
+  std::vector<Core> batched;
+  for (std::size_t i = 0; i < 37; ++i) {
+    batched.emplace_back(i % 3 == 0 ? hot : CoreParams{});
+  }
+  std::vector<Core> reference = batched;
+  std::vector<device::CompactBti> oracle;
+  for (const Core& c : batched) oracle.emplace_back(c.params().bti);
+  const CoreAction all_actions[] = {CoreAction::kRun, CoreAction::kIdle,
+                                    CoreAction::kBtiActiveRecovery};
+  for (int round = 0; round < 40; ++round) {
+    std::vector<CoreAction> actions;
+    std::vector<double> util;
+    std::vector<Celsius> temps;
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      actions.push_back(all_actions[rng.uniform_int(0, 2)]);
+      const int u = rng.uniform_int(0, 3);
+      util.push_back(u == 0 ? 0.0 : u == 1 ? 1.0 : rng.uniform(0.0, 1.0));
+      temps.push_back(Celsius{rng.uniform(40.0, 110.0)});
+    }
+    const Seconds dt = round % 4 == 0 ? Seconds{rng.uniform(1.0, 3e4)}
+                                      : hours(6.0);
+    Core::step_all(batched, actions, util, temps, dt);
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      reference[i].step(actions[i], util[i], temps[i], dt);
+      oracle_step(oracle[i], batched[i].params(), actions[i], util[i],
+                  temps[i], dt);
+      const device::BtiBreakdown got = batched[i].bti_breakdown();
+      for (const device::BtiBreakdown& want :
+           {reference[i].bti_breakdown(), oracle[i].breakdown()}) {
+        ASSERT_EQ(got.recoverable.value(), want.recoverable.value())
+            << "round " << round << " core " << i;
+        ASSERT_EQ(got.unlocked.value(), want.unlocked.value())
+            << "round " << round << " core " << i;
+        ASSERT_EQ(got.locked.value(), want.locked.value())
+            << "round " << round << " core " << i;
+      }
+    }
+  }
+  EXPECT_GT(batched[0].bti_breakdown().locked.value(), 0.0);
+}
+
+TEST(CoreModel, StepAllRejectsBadUtilizationBeforeMovingAnyCore) {
+  std::vector<Core> cores(3, make_core());
+  const std::vector<CoreAction> actions(3, CoreAction::kRun);
+  const std::vector<Celsius> temps(3, Celsius{85.0});
+  EXPECT_THROW(Core::step_all(cores, actions, std::vector<double>{0.5, 0.5, 1.5},
+                              temps, hours(1.0)),
+               dh::Error);
+  EXPECT_THROW(Core::step_all(cores, actions, std::vector<double>{-0.1, 0.5, 0.5},
+                              temps, hours(1.0)),
+               dh::Error);
+  for (const Core& c : cores) EXPECT_EQ(c.delta_vth().value(), 0.0);
+  // Spans of different lengths are refused too.
+  EXPECT_THROW(Core::step_all(cores, actions, std::vector<double>{0.5},
+                              temps, hours(1.0)),
                dh::Error);
 }
 

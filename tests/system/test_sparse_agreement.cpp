@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,31 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
     m = std::max(m, std::abs(a[i] - b[i]));
   }
   return m;
+}
+
+/// The conductance system of a PdnGrid solve, assembled from scratch
+/// with CsrBuilder: the reference for the grid's fixed-pattern scatter.
+struct AssembledPdn {
+  math::sparse::CsrMatrix a;
+  std::vector<double> rhs;
+};
+
+AssembledPdn assemble_pdn(const pdn::PdnGrid& grid,
+                          std::span<const double> load,
+                          std::span<const double> seg_r) {
+  const pdn::PdnParams& params = grid.params();
+  math::sparse::CsrBuilder builder(grid.node_count(), grid.node_count(), 5);
+  for (std::size_t s = 0; s < grid.segment_count(); ++s) {
+    builder.add_edge(grid.segment(s).a, grid.segment(s).b, 1.0 / seg_r[s]);
+  }
+  const double g_pad = 1.0 / params.pad_resistance.value();
+  std::vector<double> rhs(grid.node_count(), 0.0);
+  for (const std::size_t p : grid.pads()) {
+    builder.add_diagonal(p, g_pad);
+    rhs[p] += g_pad * params.vdd.value();
+  }
+  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= load[i];
+  return {builder.build(), std::move(rhs)};
 }
 
 // Three load patterns on one grid with random per-segment resistances,
@@ -154,20 +181,11 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
         rng.uniform_int(0, static_cast<int>(seg_r.size()) - 1))] = 1e9;
   }
 
-  // The system PdnGrid::solve assembles, built here so the plain
+  // The system PdnGrid::solve factors, built here so the plain
   // back-substitution and the per-solve info are visible.
-  math::sparse::CsrBuilder builder(grid.node_count(), grid.node_count(), 5);
-  for (std::size_t s = 0; s < grid.segment_count(); ++s) {
-    builder.add_edge(grid.segment(s).a, grid.segment(s).b, 1.0 / seg_r[s]);
-  }
-  const double g_pad = 1.0 / params.pad_resistance.value();
-  std::vector<double> rhs(grid.node_count(), 0.0);
-  for (const std::size_t p : grid.pads()) {
-    builder.add_diagonal(p, g_pad);
-    rhs[p] += g_pad * params.vdd.value();
-  }
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= load[i];
-  const math::sparse::CsrMatrix a = builder.build();
+  const AssembledPdn sys = assemble_pdn(grid, load, seg_r);
+  const math::sparse::CsrMatrix& a = sys.a;
+  const std::vector<double>& rhs = sys.rhs;
   const auto relative_residual = [&](const std::vector<double>& x) {
     std::vector<double> r = a.multiply(x);
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = rhs[i] - r[i];
@@ -177,9 +195,10 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
   math::sparse::BandedCholesky{a}.solve(rhs, plain);
   ASSERT_GT(relative_residual(plain), 1e-10);
 
-  const math::sparse::SpdSolver solver{a};
+  math::sparse::SpdSolver solver{a};
   math::sparse::SpdSolveInfo info;
-  const std::vector<double> v = solver.solve(rhs, &info);
+  std::vector<double> v;
+  solver.solve(rhs, v, &info);
   EXPECT_GT(info.cg_iterations, 0u);
   EXPECT_LE(info.relative_residual, 1e-10);
   EXPECT_DOUBLE_EQ(relative_residual(v), info.relative_residual);
@@ -195,6 +214,92 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
   EXPECT_GT(scale, 1e8);
   EXPECT_LE(max_abs_diff(sparse.node_voltage, dense.node_voltage),
             1e-8 * scale);
+}
+
+TEST(SparseAgreement, ReusedGridWorkspaceMatchesFreshAssembly) {
+  // One grid object solves fresh, aged and 1e9-ohm-sentinel resistance
+  // vectors in turn; the sentinels, at ~1 A per node, make refinement
+  // run. Every solve must equal a fresh SpdSolver on a CsrBuilder
+  // assembly bit for bit. Mid-sequence, a non-positive resistance and an
+  // isolated node must each throw a named error, and the solve after
+  // each must still be exact: the factor and workspace the grid reuses
+  // carry nothing over.
+  pdn::PdnParams params;
+  params.rows = params.cols = 6;
+  const pdn::PdnGrid grid{params};
+  Rng rng = Rng::stream(0xB20E, 82);
+  const std::vector<double> fresh =
+      grid.fresh_segment_resistances(Celsius{85.0});
+  std::size_t refined = 0;
+  for (int k = 0; k < 30; ++k) {
+    const int kind = k % 3;  // 0 fresh, 1 aged, 2 aged with sentinels
+    std::vector<double> seg_r = fresh;
+    if (kind > 0) {
+      for (auto& r : seg_r) r *= rng.uniform(1.0, 1.5);
+    }
+    std::vector<double> load(grid.node_count());
+    for (auto& v : load) {
+      v = kind == 2 ? rng.uniform(0.2, 1.5) : rng.uniform(0.0, 0.02);
+    }
+    if (kind == 2) {
+      const int broken =
+          rng.uniform_int(1, static_cast<int>(seg_r.size()) - 1);
+      for (int b = 0; b < broken; ++b) {
+        seg_r[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<int>(seg_r.size()) - 1))] = 1e9;
+      }
+    }
+    if (k == 10) {
+      std::vector<double> bad = seg_r;
+      bad[7] = 0.0;
+      try {
+        (void)grid.solve(load, bad);
+        ADD_FAILURE() << "a zero resistance was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string{e.what()}.find("must be positive"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    if (k == 20) {
+      // Interior node 7 = (1, 1) cut off: the factor meets a zero pivot.
+      std::vector<double> bad = seg_r;
+      for (std::size_t s = 0; s < grid.segment_count(); ++s) {
+        if (grid.segment(s).a == 7 || grid.segment(s).b == 7) {
+          bad[s] = std::numeric_limits<double>::infinity();
+        }
+      }
+      try {
+        (void)grid.solve(load, bad);
+        ADD_FAILURE() << "an isolated node was solved";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string{e.what()}.find("not positive definite"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    const auto got = grid.solve(load, seg_r);
+    const AssembledPdn sys = assemble_pdn(grid, load, seg_r);
+    math::sparse::SpdSolver solver{sys.a};
+    math::sparse::SpdSolveInfo info;
+    std::vector<double> want;
+    solver.solve(sys.rhs, want, &info);
+    EXPECT_EQ(got.node_voltage, want) << "solve " << k;
+    if (info.cg_iterations > 0) ++refined;
+    // Dense LU is accurate to ~1e-9 relative only on the sentinel
+    // systems (see BrokenSegmentSentinelsAreRefinedToTheContract), so
+    // the oracle is judged at the voltage scale there.
+    const auto dense = grid.solve_uncached(load, seg_r);
+    double scale = 1.0;
+    for (const double v : dense.node_voltage) {
+      scale = std::max(scale, std::abs(v));
+    }
+    EXPECT_LE(max_abs_diff(got.node_voltage, dense.node_voltage),
+              (kind == 2 ? 1e-8 : kAgreementTol) * scale)
+        << "solve " << k;
+  }
+  EXPECT_GT(refined, 0u);
+  EXPECT_GT(grid.solve_stats().cg_iterations, 0u);
 }
 
 TEST(SparseAgreement, SolveDependsOnlyOnItsArguments) {
