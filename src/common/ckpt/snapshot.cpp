@@ -7,7 +7,6 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::ckpt {
@@ -93,8 +92,6 @@ void write_snapshot(const std::string& path, const std::string& kind,
     throw Error("checkpoint '" + path +
                 "' rename from temp failed: " + ec.message());
   }
-  static obs::Counter& writes = obs::registry().counter("ckpt.write");
-  writes.add();
   if (obs::trace_enabled()) {
     obs::trace_event("ckpt", "write",
                      {{"bytes", static_cast<double>(payload.size())}});

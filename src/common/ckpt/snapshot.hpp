@@ -36,8 +36,8 @@ struct SnapshotHeader {
 };
 
 /// Write `payload` to `path` atomically (temp file + rename). Throws
-/// dh::Error when the directory/file cannot be written. Increments the
-/// `ckpt.write` counter and emits a `ckpt/write` trace event.
+/// dh::Error when the directory/file cannot be written. Emits a
+/// `ckpt/write` trace event.
 void write_snapshot(const std::string& path, const std::string& kind,
                     const std::vector<std::uint8_t>& payload);
 

@@ -17,7 +17,7 @@ constexpr double kAcceptRelResidual = 1e-10;
 /// solvable systems (aged grids whose broken segments spread the
 /// conductances across ~12 decades) bottom out around 1e-7 relative —
 /// the double-precision floor dense LU shares — and are accepted with the
-/// achieved residual recorded in the `solver.residual` gauge. A genuinely
+/// achieved residual reported in `SpdSolveInfo`. A genuinely
 /// singular matrix (pivots made of rounding noise) stalls at O(1) and
 /// throws.
 constexpr double kRejectRelResidual = 1e-4;
@@ -70,12 +70,9 @@ const Preconditioner& SpdSolver::factor() const {
 void SpdSolver::record(const SpdSolveInfo& info) const {
   static obs::Histogram& iters =
       obs::registry().histogram("solver.cg_iters", "iters");
-  static obs::Gauge& residual =
-      obs::registry().gauge("solver.residual", "rel");
   if (info.cg_iterations > 0) {
     iters.observe(static_cast<double>(info.cg_iterations));
   }
-  residual.set(info.relative_residual);
 }
 
 void SpdSolver::solve(std::span<const double> b, std::vector<double>& x,

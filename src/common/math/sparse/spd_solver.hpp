@@ -60,8 +60,8 @@ class SpdSolver {
   /// 1e-10 (an ill-conditioned system, e.g. an aged grid with 1e9-ohm
   /// broken segments) is refined by CG on A preconditioned by the factor;
   /// one still above 1e-4 after refinement throws dh::Error (singular to
-  /// working precision). Records into the `solver.cg_iters` histogram /
-  /// `solver.residual` gauge.
+  /// working precision). Records refinement work into the
+  /// `solver.cg_iters` histogram.
   void solve(std::span<const double> b, std::vector<double>& x,
              SpdSolveInfo* info = nullptr);
 

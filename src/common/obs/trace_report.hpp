@@ -45,7 +45,7 @@ struct TraceReport {
   std::map<std::string, double> category_wall_ms;
   /// Derived from "sim/quantum" events: total quanta and how many had
   /// active recovery in flight (recovery_cores > 0 or em_recovery != 0) —
-  /// must match the live `sim.recovery_quanta` registry counter.
+  /// must match `SystemSimulator::recovery_quanta()` of the traced run.
   std::size_t sim_quanta = 0;
   std::uint64_t sim_recovery_quanta = 0;
 };

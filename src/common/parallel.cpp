@@ -18,7 +18,6 @@ namespace {
 struct PoolMetrics {
   obs::Counter& jobs = obs::registry().counter("pool.jobs");
   obs::Counter& tasks = obs::registry().counter("pool.tasks");
-  obs::Counter& tasks_caller = obs::registry().counter("pool.tasks.caller");
   obs::Counter& tasks_worker = obs::registry().counter("pool.tasks.worker");
   obs::Histogram& job_ms = obs::registry().histogram("pool.job_ms", "ms");
   obs::Histogram& drain_wait_ms =
@@ -110,7 +109,6 @@ void ThreadPool::parallel_for(std::size_t n,
     DH_PROF_SCOPE("pool.inline_job");
     for (std::size_t i = 0; i < n; ++i) fn(i);
     m.tasks.add(n);
-    m.tasks_caller.add(n);
     return;
   }
   m.jobs.add();
@@ -127,8 +125,7 @@ void ThreadPool::parallel_for(std::size_t n,
     job_ = &job;
   }
   work_cv_.notify_all();
-  const std::size_t executed = run_indices(job);  // the caller participates
-  m.tasks_caller.add(executed);
+  run_indices(job);  // the caller participates
   const auto drain_t0 = std::chrono::steady_clock::now();
   {
     // The caller's run_indices only returns once the claim counter is

@@ -1,5 +1,5 @@
-// Descriptive statistics + lognormal lifetime fitting (Black's-equation EM
-// TTF populations are classically lognormal).
+// Descriptive statistics + lognormal lifetime fitting (EM TTF populations
+// are classically lognormal).
 #pragma once
 
 #include <span>
@@ -20,16 +20,10 @@ struct LognormalFit {
   double sigma = 0.0;  // stddev of ln(x)
   /// Median lifetime exp(mu).
   [[nodiscard]] double t50() const;
-  /// Quantile t(p): time by which fraction p of the population has failed.
-  [[nodiscard]] double quantile(double p) const;
 };
 
 /// Fits a lognormal by the method of moments on ln(x). All samples must be
 /// positive.
 [[nodiscard]] LognormalFit fit_lognormal(std::span<const double> samples);
-
-/// Inverse standard normal CDF (Acklam's rational approximation, ~1e-9
-/// relative accuracy), exposed for the lifetime quantile math.
-[[nodiscard]] double inverse_normal_cdf(double p);
 
 }  // namespace dh::stats

@@ -6,7 +6,7 @@
 //   dh::device  — BTI trap-ensemble + permanent-component models, ring
 //                 oscillator readout, compact BTI model
 //   dh::em      — Korhonen stress-evolution solver, void growth/healing,
-//                 Black's-equation statistics, compact EM model
+//                 compact EM model
 //   dh::circuit — MNA simulator and the Fig. 8 assist circuitry
 //   dh::thermal — die thermal RC grid (heat-assisted recovery)
 //   dh::sensors — RO-pair BTI sensors, EM canary wires, health fusion
@@ -14,17 +14,15 @@
 //   dh::logic   — signal-probability logic aging + aging-aware STA
 //   dh::pdn     — power grid IR solve + per-segment EM aging
 //   dh::sched   — cores, workloads, recovery policies, lifetime simulator
-//   dh::core    — paper protocols, rejuvenation planning, run-time control
+//   dh::core    — paper protocols, rejuvenation planning
 #pragma once
 
 #include "circuit/assist.hpp"
 #include "core/accelerated_test.hpp"
-#include "core/recovery_controller.hpp"
 #include "core/rejuvenation_planner.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 #include "device/compact_bti.hpp"
-#include "em/black.hpp"
 #include "em/compact_em.hpp"
 #include "em/korhonen.hpp"
 #include "logic/logic_netlist.hpp"

@@ -22,28 +22,6 @@ namespace dh::sched {
 
 namespace {
 
-// Scheduler telemetry, aggregated across simulator instances. The gauges
-// are written at the same single point that appends the TimeSeries
-// members, so the registry and the traces can never disagree.
-struct SimMetrics {
-  obs::Counter& quanta = obs::registry().counter("sim.quanta");
-  obs::Counter& recovery_quanta =
-      obs::registry().counter("sim.recovery_quanta");
-  obs::Counter& em_recovery_quanta =
-      obs::registry().counter("sim.em_recovery_quanta");
-  obs::Gauge& worst_degradation =
-      obs::registry().gauge("sim.worst_degradation", "frac");
-  obs::Gauge& worst_ir_drop =
-      obs::registry().gauge("sim.worst_ir_drop", "V");
-  obs::Gauge& max_temperature =
-      obs::registry().gauge("sim.max_temperature", "C");
-};
-
-SimMetrics& sim_metrics() {
-  static SimMetrics* m = new SimMetrics();
-  return *m;
-}
-
 thermal::ThermalGridParams match_thermal(thermal::ThermalGridParams t,
                                          std::size_t rows,
                                          std::size_t cols) {
@@ -234,7 +212,7 @@ void SystemSimulator::step() {
 
   // Telemetry: the per-quantum policy action and health picture. The
   // recovery_quanta definition (any core in BTI active recovery, or the
-  // grid in EM recovery mode) is shared verbatim by the registry counter,
+  // grid in EM recovery mode) is shared verbatim by the member counter,
   // the trace fields, and trace_report's reconstruction.
   std::size_t recovery_cores = 0;
   std::size_t running_cores = 0;
@@ -245,13 +223,6 @@ void SystemSimulator::step() {
   const bool recovering =
       recovery_cores > 0 || decision.em_recovery_mode;
   if (recovering) ++recovery_quanta_;
-  SimMetrics& m = sim_metrics();
-  m.quanta.add();
-  if (recovering) m.recovery_quanta.add();
-  if (decision.em_recovery_mode) m.em_recovery_quanta.add();
-  m.worst_degradation.set(worst_deg);
-  m.worst_ir_drop.set(ir_drop_v);
-  m.max_temperature.set(max_temp_c);
   if (obs::trace_enabled()) {
     if (recovering && !was_recovering_) {
       obs::trace_event_at(

@@ -102,8 +102,7 @@ class SystemSimulator {
 
   /// Quanta in which active recovery was in flight (any core in BTI
   /// active recovery, or the grid in EM recovery mode) — makes schedules
-  /// like Fig. 4's 1h:1h duty cycle directly auditable. Mirrored into the
-  /// registry counter `sim.recovery_quanta` and stamped on every
+  /// like Fig. 4's 1h:1h duty cycle directly auditable. Stamped on every
   /// `sim/quantum` trace event, so tools/trace_report reproduces it
   /// exactly from a recorded trace.
   [[nodiscard]] std::size_t recovery_quanta() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::sensors {
@@ -34,13 +33,7 @@ void EmCanaryBank::step(AmpsPerM2 mission_density, Celsius temperature,
     canaries_[i].step(AmpsPerM2{mission_density.value() * scale},
                       temperature, dt);
   }
-  static obs::Counter& steps =
-      obs::registry().counter("sensors.canary.steps");
-  steps.add();
   const std::size_t tripped_now = tripped();
-  static obs::Gauge& tripped_gauge =
-      obs::registry().gauge("sensors.canary.tripped");
-  tripped_gauge.set(static_cast<double>(tripped_now));
   if (tripped_now > tripped_before && obs::trace_enabled()) {
     obs::trace_event(
         "sensors", "canary_trip",

@@ -1,7 +1,6 @@
 #include "sensors/health_monitor.hpp"
 
 #include "common/error.hpp"
-#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 
 namespace dh::sensors {
@@ -27,23 +26,11 @@ double HealthMonitor::update(double reading) {
   } else if (alarm_ && estimate_ <= params_.clear) {
     alarm_ = false;
   }
-  static obs::Counter& readings =
-      obs::registry().counter("sensors.health.readings");
-  readings.add();
-  static obs::Gauge& estimate =
-      obs::registry().gauge("sensors.health.estimate", "V");
-  estimate.set(estimate_);
-  if (alarm_ != was_alarm) {
-    static obs::Counter& transitions =
-        obs::registry().counter("sensors.health.alarm_transitions");
-    transitions.add();
-    if (obs::trace_enabled()) {
-      obs::trace_event("sensors", alarm_ ? "alarm_trip" : "alarm_clear",
-                       {{"estimate", estimate_},
-                        {"reading", reading},
-                        {"threshold", alarm_ ? params_.trip
-                                             : params_.clear}});
-    }
+  if (alarm_ != was_alarm && obs::trace_enabled()) {
+    obs::trace_event("sensors", alarm_ ? "alarm_trip" : "alarm_clear",
+                     {{"estimate", estimate_},
+                      {"reading", reading},
+                      {"threshold", alarm_ ? params_.trip : params_.clear}});
   }
   return estimate_;
 }

@@ -6,7 +6,7 @@
 // Prints per-category event counts with an attributed wall-time breakdown,
 // per-event-group field summaries (p50/p95/max), and — when the trace
 // contains sim/quantum events — the exact recovery-quanta count the
-// simulator's registry reported while recording.
+// simulator reported while recording.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
