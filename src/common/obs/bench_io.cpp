@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "common/error.hpp"
-#include "common/fault/fault.hpp"
 
 namespace dh::obs {
 
@@ -24,9 +23,6 @@ std::string json_output_path(const std::string& filename) {
 }
 
 void write_file_atomic(const std::string& path, const std::string& content) {
-  if (fault::armed() && fault::should_inject("io.bench_write")) {
-    throw Error("injected I/O failure (EIO) writing '" + path + "'");
-  }
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

@@ -18,7 +18,6 @@ namespace dh::obs {
 /// is renamed over `path` only after a successful flush — a crash or
 /// ENOSPC mid-write can truncate only the temp file, never a previously
 /// published artifact. Throws dh::Error naming the path on any failure.
-/// Fault site: `io.bench_write` (simulated EIO before any byte lands).
 void write_file_atomic(const std::string& path, const std::string& content);
 
 }  // namespace dh::obs

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <ostream>
 
 #include "common/error.hpp"
 
@@ -172,203 +171,65 @@ void Histogram::reset() noexcept {
 
 struct Registry::Entry {
   std::string name;
-  std::string unit;
-  MetricKind kind;
-  // Exactly one is engaged, per `kind`.
+  // Exactly one is engaged; the engaged one is the metric's kind.
   std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
 };
 
 Registry::Entry& Registry::get_or_create(std::string_view name,
-                                         std::string_view unit,
-                                         MetricKind kind) {
+                                         bool histogram) {
   DH_REQUIRE(!name.empty(), "metric name must not be empty");
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& e : entries_) {
     if (e->name == name) {
-      DH_REQUIRE(e->kind == kind,
+      DH_REQUIRE((e->histogram != nullptr) == histogram,
                  "metric '" + e->name +
                      "' already registered as a different kind");
-      if (e->unit.empty() && !unit.empty()) e->unit = std::string(unit);
       return *e;
     }
   }
   auto e = std::make_unique<Entry>();
   e->name = std::string(name);
-  e->unit = std::string(unit);
-  e->kind = kind;
-  switch (kind) {
-    case MetricKind::kCounter:
-      e->counter = std::make_unique<Counter>();
-      break;
-    case MetricKind::kGauge:
-      e->gauge = std::make_unique<Gauge>();
-      break;
-    case MetricKind::kHistogram:
-      e->histogram = std::make_unique<Histogram>();
-      break;
+  if (histogram) {
+    e->histogram = std::make_unique<Histogram>();
+  } else {
+    e->counter = std::make_unique<Counter>();
   }
   entries_.push_back(std::move(e));
   return *entries_.back();
 }
 
-Counter& Registry::counter(std::string_view name, std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kCounter).counter;
+Counter& Registry::counter(std::string_view name, std::string_view) {
+  return *get_or_create(name, false).counter;
 }
 
-Gauge& Registry::gauge(std::string_view name, std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kGauge).gauge;
+Histogram& Registry::histogram(std::string_view name, std::string_view) {
+  return *get_or_create(name, true).histogram;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               std::string_view unit) {
-  return *get_or_create(name, unit, MetricKind::kHistogram).histogram;
-}
-
-std::vector<MetricInfo> Registry::list() const {
-  std::vector<MetricInfo> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) {
-      out.push_back({e->name, e->unit, e->kind});
-    }
+const Registry::Entry* Registry::find(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& e : entries_) {
+    if (e->name == name) return e.get();
   }
-  std::sort(out.begin(), out.end(),
-            [](const MetricInfo& a, const MetricInfo& b) {
-              return a.name < b.name;
-            });
-  return out;
+  return nullptr;
 }
 
 const Counter* Registry::find_counter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kCounter) {
-      return e->counter.get();
-    }
-  }
-  return nullptr;
-}
-
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kGauge) {
-      return e->gauge.get();
-    }
-  }
-  return nullptr;
+  const Entry* e = find(name);
+  return e != nullptr ? e->counter.get() : nullptr;
 }
 
 const Histogram* Registry::find_histogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name && e->kind == MetricKind::kHistogram) {
-      return e->histogram.get();
-    }
-  }
-  return nullptr;
-}
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
-
-void Registry::write_json(std::ostream& os, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string pad2(static_cast<std::size_t>(2 * indent), ' ');
-  // Snapshot entry pointers under the lock; metric objects are immortal
-  // and individually thread-safe, so reading them after release is fine.
-  struct Row {
-    std::string name;
-    std::string unit;
-    MetricKind kind;
-    const Counter* c;
-    const Gauge* g;
-    const Histogram* h;
-  };
-  std::vector<Row> rows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rows.reserve(entries_.size());
-    for (const auto& e : entries_) {
-      rows.push_back({e->name, e->unit, e->kind, e->counter.get(),
-                      e->gauge.get(), e->histogram.get()});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
-
-  const auto emit_section = [&](MetricKind kind, const char* title,
-                                bool trailing_comma) {
-    os << pad << '"' << title << "\": {";
-    bool first = true;
-    for (const Row& r : rows) {
-      if (r.kind != kind) continue;
-      if (!first) os << ',';
-      first = false;
-      os << '\n' << pad2 << '"';
-      json_escape(os, r.name);
-      os << "\": ";
-      switch (kind) {
-        case MetricKind::kCounter:
-          os << r.c->value();
-          break;
-        case MetricKind::kGauge:
-          os << r.g->value();
-          break;
-        case MetricKind::kHistogram: {
-          const Histogram::Snapshot s = r.h->snapshot();
-          os << "{\"count\": " << s.count << ", \"min\": " << s.min
-             << ", \"max\": " << s.max << ", \"mean\": " << s.mean
-             << ", \"p50\": " << s.p50 << ", \"p95\": " << s.p95;
-          if (!r.unit.empty()) {
-            os << ", \"unit\": \"";
-            json_escape(os, r.unit);
-            os << '"';
-          }
-          os << '}';
-          break;
-        }
-      }
-    }
-    os << (first ? "" : "\n") << (first ? "" : pad.c_str()) << '}'
-       << (trailing_comma ? "," : "") << '\n';
-  };
-
-  os << "{\n";
-  emit_section(MetricKind::kCounter, "counters", true);
-  emit_section(MetricKind::kGauge, "gauges", true);
-  emit_section(MetricKind::kHistogram, "histograms", false);
-  os << "}\n";
+  const Entry* e = find(name);
+  return e != nullptr ? e->histogram.get() : nullptr;
 }
 
 void Registry::reset_all() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& e : entries_) {
-    switch (e->kind) {
-      case MetricKind::kCounter:
-        e->counter->reset();
-        break;
-      case MetricKind::kGauge:
-        e->gauge->reset();
-        break;
-      case MetricKind::kHistogram:
-        e->histogram->reset();
-        break;
-    }
+    if (e->counter) e->counter->reset();
+    if (e->histogram) e->histogram->reset();
   }
 }
 

@@ -1,4 +1,4 @@
-// Process-wide metrics registry: counters, gauges, and histograms that the
+// Process-wide metrics registry: counters and histograms that the
 // healing stack updates from hot paths (PDN solves, thread-pool jobs,
 // scheduler quanta, compact-model evaluations, sensor readings).
 //
@@ -25,7 +25,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -69,22 +68,6 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
   std::array<Shard, detail::kShards> shards_{};
-};
-
-/// Last-written instantaneous value (e.g. worst IR drop this quantum).
-class Gauge {
- public:
-  void set(double v) noexcept {
-    if (!enabled()) return;
-    v_.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 /// Distribution of positive values on fixed log-spaced buckets
@@ -138,49 +121,30 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// What kind of metric a registry entry is (for listings/dumps).
-enum class MetricKind { kCounter, kGauge, kHistogram };
-
-struct MetricInfo {
-  std::string name;
-  std::string unit;
-  MetricKind kind = MetricKind::kCounter;
-};
-
 /// Name -> metric map. Metric objects are allocated once and never move,
 /// so references handed out stay valid for the process lifetime; lookups
 /// take a mutex but hot paths cache the returned reference.
 class Registry {
  public:
-  /// Look up or create. `unit` is recorded on first registration
-  /// (informational; "" keeps any prior value). Registering the same name
-  /// as a different metric kind throws dh::Error.
+  /// Look up or create. `unit` documents the call site only; the registry
+  /// does not store it. Registering the same name as a different metric
+  /// kind throws dh::Error.
   [[nodiscard]] Counter& counter(std::string_view name,
                                  std::string_view unit = "");
-  [[nodiscard]] Gauge& gauge(std::string_view name,
-                             std::string_view unit = "");
   [[nodiscard]] Histogram& histogram(std::string_view name,
                                      std::string_view unit = "");
 
-  /// Sorted by name.
-  [[nodiscard]] std::vector<MetricInfo> list() const;
-
   /// Find without creating; nullptr when absent or of another kind.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
-
-  /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, min, max, mean, p50, p95}}}.
-  void write_json(std::ostream& os, int indent = 2) const;
 
   /// Zero every metric (entries stay registered). Test/bench helper.
   void reset_all();
 
  private:
   struct Entry;
-  [[nodiscard]] Entry& get_or_create(std::string_view name,
-                                     std::string_view unit, MetricKind kind);
+  [[nodiscard]] Entry& get_or_create(std::string_view name, bool histogram);
+  [[nodiscard]] const Entry* find(std::string_view name) const;
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;  // unsorted; small

@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "common/fault/fault.hpp"
 #include "common/obs/metrics.hpp"
 
 namespace dh::obs {
@@ -67,13 +66,6 @@ void append_number(std::string& line, double v) {
 }  // namespace
 
 void JsonlTraceSink::write(const TraceEvent& event) {
-  // _untraced: this runs under the trace dispatcher lock; emitting the
-  // usual fault/inject trace event from here would re-enter and deadlock.
-  if (fault::armed() && fault::should_inject_untraced("io.trace_write")) {
-    count_trace_drop();
-    throw Error("trace sink: injected I/O failure (EIO) writing '" +
-                path_ + "'");
-  }
   std::string line;
   line.reserve(96 + 24 * event.field_count);
   line += "{\"cat\":\"";

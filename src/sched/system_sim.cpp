@@ -6,14 +6,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <system_error>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/ckpt/snapshot.hpp"
 #include "common/error.hpp"
-#include "common/fault/fault.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/profile.hpp"
 #include "common/obs/trace.hpp"
@@ -40,8 +38,8 @@ pdn::PdnParams match_pdn(pdn::PdnParams p, std::size_t rows,
 
 /// A sensor reading beyond this magnitude is physically impossible (Vth
 /// shifts top out at tens of mV) and is rejected in favour of the last
-/// good value. Far above noise + worst-case shift, so fault-free runs
-/// never trip it and stay bit-identical to pre-degradation builds.
+/// good value. Far above the default sensor noise plus the worst-case
+/// shift, so a healthy sensor never trips it.
 constexpr double kSensorSaneLimitV = 0.5;
 
 }  // namespace
@@ -57,6 +55,11 @@ SystemSimulator::SystemSimulator(SystemParams params,
   DH_REQUIRE(policy_ != nullptr, "a recovery policy is required");
   DH_REQUIRE(params_.rows >= 2 && params_.cols >= 2,
              "system needs at least a 2x2 core grid");
+  // run() divides the lifetime by the quantum and casts to a step count:
+  // a negative quantum wraps to ~2^64 steps, a zero one casts infinity.
+  DH_REQUIRE(std::isfinite(params_.quantum.value()) &&
+                 params_.quantum.value() > 0.0,
+             "SystemParams::quantum must be positive and finite");
   const std::size_t n = params_.rows * params_.cols;
   cores_.reserve(n);
   workloads_.reserve(n);
@@ -92,13 +95,6 @@ void SystemSimulator::step() {
   for (std::size_t i = 0; i < n; ++i) {
     const double noise = rng_.normal(0.0, params_.sensor_noise.value());
     double sensed = cores_[i].delta_vth().value() + noise;
-    if (fault::armed()) {
-      if (fault::should_inject("sensor.nan")) {
-        sensed = std::numeric_limits<double>::quiet_NaN();
-      } else if (fault::should_inject("sensor.outlier")) {
-        sensed = 10.0;  // V: orders of magnitude beyond any real shift
-      }
-    }
     if (!std::isfinite(sensed) || std::abs(sensed) > kSensorSaneLimitV) {
       // Graceful degradation: hold the last good reading for this core
       // rather than feeding garbage into the policy's hysteresis.

@@ -143,8 +143,8 @@ class SystemSimulator {
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;
   /// Last accepted per-core sensor reading — the substitute when a read
-  /// comes back non-finite or absurd (fault sites sensor.nan /
-  /// sensor.outlier, or a genuinely broken sensor).
+  /// comes back non-finite or beyond kSensorSaneLimitV (a broken sensor,
+  /// or noise far outside the sensor's range).
   std::vector<double> last_good_sensor_;
   TimeSeries degradation_trace_{"max_degradation", "frac"};
   TimeSeries ir_drop_trace_{"worst_ir_drop", "V"};

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/obs/metrics.hpp"
 
 namespace dh::sched {
 namespace {
@@ -137,6 +145,82 @@ TEST(SystemSim, CoreAccessors) {
 
 TEST(SystemSim, RequiresPolicy) {
   EXPECT_THROW(SystemSimulator(small_system(), nullptr), dh::Error);
+}
+
+TEST(SystemSim, RejectsNonPositiveOrNonFiniteQuantum) {
+  // A negative quantum made run() target ~2^64 steps; a zero one cast
+  // infinity to a step count.
+  for (const double q : {0.0, -3600.0,
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    SystemParams p = small_system();
+    p.quantum = Seconds{q};
+    try {
+      SystemSimulator sim{p, make_no_recovery_policy()};
+      ADD_FAILURE() << "quantum " << q << " s was accepted";
+    } catch (const dh::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("quantum"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Hands every decision to `inner` and records each sensed Vth shift the
+/// simulator shows it.
+class RecordingPolicy : public RecoveryPolicy {
+ public:
+  RecordingPolicy(std::unique_ptr<RecoveryPolicy> inner,
+                  std::vector<double>& seen)
+      : inner_(std::move(inner)), seen_(seen) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] PolicyDecision decide(std::span<const CoreObservation> cores,
+                                      Seconds now, Seconds dt,
+                                      Rng& rng) override {
+    for (const CoreObservation& c : cores) {
+      seen_.push_back(c.sensed_dvth.value());
+    }
+    return inner_->decide(cores, now, dt, rng);
+  }
+
+ private:
+  std::unique_ptr<RecoveryPolicy> inner_;
+  std::vector<double>& seen_;
+};
+
+TEST(SystemSim, SensorOutliersFallBackToLastGoodReading) {
+  // 0.4 V of sensor noise puts 2 * (1 - Phi(1.25)) = 21 % of the reads
+  // beyond the 0.5 V sanity limit. Each must reach the policy as the
+  // core's last good reading, never as the outlier itself.
+  obs::set_enabled(true);
+  const obs::Counter& rejected = obs::registry().counter("sensor.rejected");
+  const std::uint64_t before = rejected.value();
+
+  SystemParams p = small_system();
+  p.sensor_noise = Volts{0.4};
+  p.seed = 5;
+  std::vector<double> seen;
+  SystemSimulator sim{
+      p, std::make_unique<RecordingPolicy>(
+             make_adaptive_sensor_policy({.threshold = Volts{0.004},
+                                          .release = Volts{0.002},
+                                          .em_recovery_duty = 0.2}),
+             seen)};
+  sim.run(days(30.0));
+
+  ASSERT_EQ(seen.size(), 120u * sim.core_count());
+  for (const double v : seen) {
+    ASSERT_TRUE(std::isfinite(v));
+    ASSERT_GE(v, 0.0);
+    ASSERT_LE(v, 0.5);
+  }
+  const std::uint64_t rejections = rejected.value() - before;
+  EXPECT_GT(rejections, seen.size() / 10);
+  EXPECT_LT(rejections, seen.size() * 35 / 100);
+  const auto s = sim.summary();
+  EXPECT_TRUE(std::isfinite(s.guardband_fraction));
+  EXPECT_TRUE(std::isfinite(s.availability));
+  EXPECT_TRUE(std::isfinite(s.energy_joules));
+  EXPECT_GE(s.guardband_fraction, 0.0);
 }
 
 }  // namespace
