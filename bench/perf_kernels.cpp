@@ -93,6 +93,45 @@ void BM_CompactEmStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactEmStep);
 
+void BM_CompactEmStepRecoveryCycle(benchmark::State& state) {
+  // The paper's 60:15 recovery schedule at 230 C (em_population's inner
+  // loop): two alternating conditions, one step per iteration. A broken
+  // wire is reset so every iteration steps.
+  em::CompactEm model{em::CompactEmParams{
+      .wire = em::paper_wire(),
+      .material = em::paper_calibrated_em_material()}};
+  const Celsius t = em::paper_em_conditions::chamber();
+  bool forward = true;
+  for (auto _ : state) {
+    if (forward) {
+      model.step(em::paper_em_conditions::stress_density(), t, minutes(60.0));
+    } else {
+      model.step(em::paper_em_conditions::reverse_density(), t,
+                 minutes(15.0));
+    }
+    forward = !forward;
+    if (model.broken()) model.reset();
+    benchmark::DoNotOptimize(model.end_stress());
+  }
+}
+BENCHMARK(BM_CompactEmStepRecoveryCycle);
+
+void BM_CompactEmStepNewTemperature(benchmark::State& state) {
+  // A new temperature on every call, as AgingPdn steps its segments at
+  // each quantum's temperature: no (T, dt) condition repeats.
+  em::CompactEm model{em::CompactEmParams{
+      .wire = em::paper_wire(),
+      .material = em::paper_calibrated_em_material()}};
+  int i = 0;
+  for (auto _ : state) {
+    model.step(em::paper_em_conditions::stress_density(),
+               Celsius{105.0 + 1e-3 * i}, Seconds{30.0});
+    i = (i + 1) % 1000;
+    benchmark::DoNotOptimize(model.end_stress());
+  }
+}
+BENCHMARK(BM_CompactEmStepNewTemperature);
+
 void BM_ThermalSteadySolve(benchmark::State& state) {
   thermal::ThermalGridParams p;
   p.rows = static_cast<std::size_t>(state.range(0));

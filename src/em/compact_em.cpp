@@ -1,9 +1,12 @@
 #include "em/compact_em.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
 #include "common/ckpt/serialize.hpp"
+#include "common/constants.hpp"
 #include "common/error.hpp"
 
 namespace dh::em {
@@ -51,23 +54,56 @@ void CompactEm::reset() {
   broken_ = false;
 }
 
-void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
-  if (dt.value() == 0.0 || broken_) return;
-  const Kelvin t = to_kelvin(temperature);
-  const double kappa = params_.material.kappa(t);
+CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
+  const auto kelvin_bits = std::bit_cast<std::uint64_t>(t.value());
+  const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
+  for (StepCoeffs& c : memo_) {
+    if (c.dt_bits == dt_bits && c.kelvin_bits == kelvin_bits) return c;
+  }
+  StepCoeffs& c = memo_[memo_next_];
+  // Invalidate first, key last: a throw below (T <= 0 K) must not leave a
+  // valid key over half-written coefficients.
+  c.dt_bits = 0;
+  const EmMaterialParams& m = params_.material;
+  // The operation order of EmMaterialParams::kappa, driving_force and
+  // drift_velocity, with D(T) evaluated once.
+  const double d = m.diffusivity(t);
+  c.kt_j = constants::kBoltzmannJ * t.value();
+  const double kappa = d * m.bulk_modulus_pa * m.atomic_volume_m3 / c.kt_j;
   const double rho = params_.wire.resistivity_at(t);
-  const double g = params_.material.driving_force(rho, j);
-
+  c.ezr = constants::kElementaryCharge * m.z_eff * rho;
+  c.sqrt_kappa = std::sqrt(kappa);
   // Temperature scales the pool kinetics through kappa (same Arrhenius as
-  // the PDE). Pool targets follow the signed driving force; while a void
-  // is open the stressed end is a free surface, so targets collapse to 0.
+  // the PDE).
   const double speedup = kappa / kappa_ref_;
   for (std::size_t k = 0; k < taus_.size(); ++k) {
-    const double target =
-        void_open_ ? 0.0 : g * std::sqrt(kappa) * gains_[k];
     const double tau = taus_[k] / std::max(speedup, 1e-12);
-    pools_[k] = target + (pools_[k] - target) * std::exp(-dt.value() / tau);
+    c.decay[k] = std::exp(-dt.value() / tau);
+  }
+  c.dezr = d * constants::kElementaryCharge * m.z_eff * rho;
+  c.has_fix = false;
+  c.kelvin_bits = kelvin_bits;
+  c.dt_bits = dt_bits;
+  memo_next_ ^= 1;
+  return c;
+}
+
+void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
+  DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
+  DH_REQUIRE(std::isfinite(temperature.value()),
+             "temperature must be finite");
+  DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
+             "time step must be finite and non-negative");
+  if (dt.value() == 0.0 || broken_) return;
+  const Kelvin t = to_kelvin(temperature);
+  StepCoeffs& c = coeffs(t, dt);
+  const double g = c.ezr * j.value() / params_.material.atomic_volume_m3;
+
+  // Pool targets follow the signed driving force; while a void is open the
+  // stressed end is a free surface, so targets collapse to 0.
+  for (std::size_t k = 0; k < taus_.size(); ++k) {
+    const double target = void_open_ ? 0.0 : g * c.sqrt_kappa * gains_[k];
+    pools_[k] = target + (pools_[k] - target) * c.decay[k];
   }
 
   if (!void_open_) {
@@ -83,16 +119,19 @@ void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
   if (void_open_) {
     // Drift growth when the wind pushes atoms away from the void end;
     // healing when reversed.
-    const double v = params_.material.drift_velocity(t, rho, j);
+    const double v = c.dezr * j.value() / c.kt_j;
     const double rate = static_cast<double>(void_polarity_) * v;
     // Growth feeds the slit with partial efficiency; healing refills it at
     // full efficiency (same physics as the PDE solver).
     void_mobile_m_ +=
         rate * (rate > 0.0 ? params_.material.slit_efficiency : 1.0) *
         dt.value();
-    const double fix = params_.material.fix_rate(t);
-    const double converted =
-        void_mobile_m_ * (1.0 - std::exp(-fix * dt.value()));
+    if (!c.has_fix) {
+      c.fix_fraction =
+          1.0 - std::exp(-params_.material.fix_rate(t) * dt.value());
+      c.has_fix = true;
+    }
+    const double converted = void_mobile_m_ * c.fix_fraction;
     if (converted > 0.0) {
       void_mobile_m_ -= converted;
       void_fixed_m_ += converted;

@@ -8,9 +8,18 @@
 // models the void phase as drift-velocity growth/healing with the same
 // immobilization kinetics as the full solver. Accuracy against the PDE is
 // quantified by bench/ablation_compact_models.
+//
+// Every transcendental of a step depends only on (params, temperature,
+// dt), never on the current density or the state, so each instance keeps
+// them for its last two (temperature, dt) conditions: a periodic
+// forward/reverse recovery schedule, which alternates exactly two, then
+// pays for them once per condition instead of once per step. Results are
+// bit-identical to recomputing them (DESIGN.md §7).
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/units.hpp"
 #include "em/material.hpp"
@@ -69,6 +78,26 @@ class CompactEm {
   void load_state(ckpt::Deserializer& d);
 
  private:
+  /// The j-independent factors of one step at (temperature, dt). Each is
+  /// a left prefix of the product it replaces, so applying j to it gives
+  /// the bits the unfactored formula gives.
+  struct StepCoeffs {
+    // Key: the exact bits of (Kelvin, dt). dt_bits == 0 marks an empty
+    // slot, since a zero dt returns before the lookup.
+    std::uint64_t kelvin_bits = 0;
+    std::uint64_t dt_bits = 0;
+    double ezr = 0.0;  // e*Z*rho(T): G = ezr*j/Omega
+    double sqrt_kappa = 0.0;
+    std::array<double, 3> decay{};  // exp(-dt/tau_k(T))
+    double dezr = 0.0;              // D(T)*e*Z*rho(T): v = dezr*j/kT
+    double kt_j = 0.0;
+    // 1 - exp(-fix(T)*dt), needed only while a void is open: filled on
+    // first use, so a miss with the void closed skips its two exps.
+    bool has_fix = false;
+    double fix_fraction = 0.0;
+  };
+  StepCoeffs& coeffs(Kelvin t, Seconds dt);
+
   CompactEmParams params_;
   std::array<double, 3> taus_{};   // pool time constants (s)
   std::array<double, 3> gains_{};  // pool saturation gains (Pa per unit G*sqrt..)
@@ -79,6 +108,9 @@ class CompactEm {
   double void_mobile_m_ = 0.0;
   double void_fixed_m_ = 0.0;
   bool broken_ = false;
+  // Derived from params_ alone, so neither snapshotted nor reset.
+  std::array<StepCoeffs, 2> memo_{};
+  std::size_t memo_next_ = 0;  // round-robin victim
 };
 
 }  // namespace dh::em

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <string>
+
 #include "common/error.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
@@ -114,6 +123,194 @@ TEST(CompactEm, InvalidTauRejected) {
   p.material = paper_calibrated_em_material();
   p.j_ref = AmpsPerM2{0.0};  // makes the derived tau undefined
   EXPECT_THROW(CompactEm{p}, Error);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Expects every observable of `a` and `b` to have the same bits.
+void expect_same_state(const CompactEm& a, const CompactEm& b) {
+  EXPECT_EQ(bits(a.end_stress().value()), bits(b.end_stress().value()));
+  EXPECT_EQ(bits(a.void_length().value()), bits(b.void_length().value()));
+  EXPECT_EQ(bits(a.fixed_void_length().value()),
+            bits(b.fixed_void_length().value()));
+  EXPECT_EQ(a.void_open(), b.void_open());
+  EXPECT_EQ(a.broken(), b.broken());
+}
+
+TEST(CompactEm, RejectsNonFiniteInputs) {
+  // An infinite dt turned an open void's lengths into inf/NaN, a NaN
+  // current left the pools NaN (and the wire silently immortal), and an
+  // infinite temperature gave kappa = 0. Each must throw, naming the
+  // input, and leave the wire as it was.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const AmpsPerM2 j = paper_em_conditions::stress_density();
+  const Celsius t = paper_em_conditions::chamber();
+  CompactEm m = make_compact();
+  m.step(j, t, minutes(500.0));
+  ASSERT_TRUE(m.void_open());
+  const CompactEm before = m;
+  struct Bad {
+    AmpsPerM2 j;
+    Celsius t;
+    Seconds dt;
+    const char* names;
+  };
+  for (const Bad& bad : {Bad{j, t, Seconds{inf}, "time step"},
+                         Bad{j, t, Seconds{nan}, "time step"},
+                         Bad{AmpsPerM2{nan}, t, hours(1.0), "current density"},
+                         Bad{AmpsPerM2{-inf}, t, hours(1.0), "current density"},
+                         Bad{j, Celsius{inf}, hours(1.0), "temperature"},
+                         Bad{j, Celsius{nan}, hours(1.0), "temperature"}}) {
+    try {
+      m.step(bad.j, bad.t, bad.dt);
+      ADD_FAILURE() << "accepted j=" << bad.j.value() << " T=" << bad.t.value()
+                    << " dt=" << bad.dt.value();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.names), std::string::npos)
+          << e.what();
+    }
+    expect_same_state(m, before);
+  }
+}
+
+/// The compact model's step as a direct formula, recomputing every
+/// temperature and dt factor on each call: the reference the memoized
+/// CompactEm::step must reproduce bit for bit.
+class OracleEm {
+ public:
+  explicit OracleEm(const CompactEmParams& p) : p_(p) {
+    const double tau_mid =
+        CompactEm::analytic_nucleation_time(p_.material, p_.wire, p_.j_ref,
+                                            p_.t_ref)
+            .value();
+    kappa_ref_ = p_.material.kappa(to_kelvin(p_.t_ref));
+    taus_ = {tau_mid / p_.tau_spread, tau_mid, tau_mid * p_.tau_spread};
+    for (std::size_t k = 0; k < 3; ++k) {
+      gains_[k] =
+          2.0 * p_.kernel_gain * std::sqrt(taus_[k] / std::numbers::pi);
+    }
+  }
+
+  void step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
+    if (dt.value() == 0.0 || broken) return;
+    const Kelvin t = to_kelvin(temperature);
+    const double kappa = p_.material.kappa(t);
+    const double rho = p_.wire.resistivity_at(t);
+    const double g = p_.material.driving_force(rho, j);
+    const double speedup = kappa / kappa_ref_;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const double target =
+          void_open ? 0.0 : g * std::sqrt(kappa) * gains_[k];
+      const double tau = taus_[k] / std::max(speedup, 1e-12);
+      pools_[k] =
+          target + (pools_[k] - target) * std::exp(-dt.value() / tau);
+    }
+    if (!void_open) {
+      const double stress = pools_[0] + pools_[1] + pools_[2];
+      if (std::abs(stress) >= p_.material.critical_stress.value()) {
+        void_open = true;
+        polarity_ = stress > 0.0 ? 1 : -1;
+        if (mobile_ <= 0.0) mobile_ = 0.5e-9;
+      }
+    }
+    if (void_open) {
+      const double v = p_.material.drift_velocity(t, rho, j);
+      const double rate = static_cast<double>(polarity_) * v;
+      mobile_ += rate * (rate > 0.0 ? p_.material.slit_efficiency : 1.0) *
+                 dt.value();
+      const double fix = p_.material.fix_rate(t);
+      const double converted = mobile_ * (1.0 - std::exp(-fix * dt.value()));
+      if (converted > 0.0) {
+        mobile_ -= converted;
+        fixed_ += converted;
+      }
+      if (mobile_ <= 0.0) {
+        mobile_ = 0.0;
+        void_open = false;
+        polarity_ = 0;
+      }
+      if (mobile_ + fixed_ >= p_.material.break_void_length.value()) {
+        broken = true;
+      }
+    }
+  }
+
+  void expect_matches(const CompactEm& m) const {
+    EXPECT_EQ(bits(m.end_stress().value()),
+              bits(pools_[0] + pools_[1] + pools_[2]));
+    EXPECT_EQ(bits(m.void_length().value()), bits(mobile_ + fixed_));
+    EXPECT_EQ(bits(m.fixed_void_length().value()), bits(fixed_));
+    EXPECT_EQ(m.void_open(), void_open);
+    EXPECT_EQ(m.broken(), broken);
+  }
+
+  bool void_open = false;
+  bool broken = false;
+
+ private:
+  CompactEmParams p_;
+  std::array<double, 3> taus_{}, gains_{}, pools_{};
+  double kappa_ref_ = 0.0;
+  int polarity_ = 0;
+  double mobile_ = 0.0, fixed_ = 0.0;
+};
+
+TEST(CompactEm, MemoizedStepMatchesUnmemoizedOracle) {
+  const CompactEmParams p{.wire = paper_wire(),
+                          .material = paper_calibrated_em_material()};
+  CompactEm m{p};
+  OracleEm oracle{p};
+  const AmpsPerM2 fwd = paper_em_conditions::stress_density();
+  const AmpsPerM2 rev = paper_em_conditions::reverse_density();
+  const Celsius hot = paper_em_conditions::chamber();
+  bool saw_open = false, saw_reclosed = false;
+  int steps = 0;
+  const auto step = [&](AmpsPerM2 j, Celsius t, Seconds dt) {
+    m.step(j, t, dt);
+    oracle.step(j, t, dt);
+    oracle.expect_matches(m);
+    saw_open = saw_open || oracle.void_open;
+    saw_reclosed = saw_reclosed || (saw_open && !oracle.void_open);
+    ++steps;
+  };
+  // One condition repeated, with a second j on the same (T, dt).
+  for (int i = 0; i < 3; ++i) step(fwd, hot, minutes(60.0));
+  step(mega_amps_per_cm2(3.0), hot, minutes(60.0));
+  // The 60:15 recovery cycle: two conditions in alternation, both slots.
+  for (int i = 0; i < 8; ++i) {
+    step(fwd, hot, minutes(60.0));
+    step(rev, hot, minutes(15.0));
+  }
+  ASSERT_TRUE(oracle.void_open) << "the void must open under the cycle";
+  // A third condition evicts a slot; then same T with a new dt, same dt
+  // with a new T, and back to the evicted condition.
+  step(fwd, Celsius{250.0}, minutes(60.0));
+  step(fwd, hot, minutes(30.0));
+  step(rev, Celsius{210.0}, minutes(60.0));
+  step(fwd, hot, minutes(60.0));
+  step(rev, hot, minutes(15.0));
+  // A step that throws (below absolute zero) must not leave its key
+  // behind: the same condition throws again, and valid steps still match.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_THROW(m.step(fwd, Celsius{-300.0}, minutes(60.0)), Error);
+    EXPECT_THROW(oracle.step(fwd, Celsius{-300.0}, minutes(60.0)), Error);
+    oracle.expect_matches(m);
+  }
+  step(fwd, hot, minutes(60.0));
+  step(rev, hot, minutes(15.0));
+  // Reverse current heals the void shut; forward current then reopens it
+  // and grows it until the wire breaks.
+  for (int i = 0; i < 40 && oracle.void_open; ++i) {
+    step(rev, hot, minutes(60.0));
+  }
+  ASSERT_TRUE(saw_reclosed) << "the void must heal shut";
+  for (int i = 0; i < 400 && !oracle.broken; ++i) {
+    step(fwd, hot, minutes(60.0));
+    step(rev, hot, minutes(15.0));
+  }
+  EXPECT_TRUE(oracle.broken);
+  EXPECT_GT(steps, 40);
 }
 
 }  // namespace
