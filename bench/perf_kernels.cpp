@@ -151,7 +151,7 @@ void BM_PdnIrSolve(benchmark::State& state) {
   pdn::PdnParams p;
   p.rows = static_cast<std::size_t>(state.range(0));
   p.cols = p.rows;
-  const pdn::PdnGrid grid{p};
+  pdn::PdnGrid grid{p};
   const std::vector<double> loads(grid.node_count(), 0.002);
   const auto r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto _ : state) {
@@ -162,7 +162,7 @@ BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);
 
 // Dense-vs-sparse solve kernels at n in {64, 256, 1024, 4096} nodes
 // (grid sides 8..64). Dense is the from-scratch LU reference
-// (solve_uncached); sparse is a fresh engine solve — CSR assembly +
+// (solve_uncached); sparse is a fresh banded solve — assembly +
 // factorization + solve — so the comparison is end-to-end, not
 // back-substitution vs LU. The 64x64 dense case takes tens of seconds
 // per iteration; filter with --benchmark_filter if that matters.
@@ -183,7 +183,7 @@ BENCHMARK(BM_PdnDenseSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
 void BM_PdnSparseSolve(benchmark::State& state) {
   pdn::PdnParams p;
   p.rows = p.cols = static_cast<std::size_t>(state.range(0));
-  const pdn::PdnGrid grid{p};
+  pdn::PdnGrid grid{p};
   const std::vector<double> loads(grid.node_count(), 0.002);
   const auto r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto _ : state) {
@@ -407,10 +407,10 @@ void write_obs_kernels_json() {
       sim_overhead_pct);
 }
 
-/// Dense-LU vs sparse-engine scaling curve for the PDN IR solve at
+/// Dense-LU vs banded-solve scaling curve for the PDN IR solve at
 /// n in {64, 256, 1024, 4096} nodes, written to BENCH_sparse.json. Each
 /// row times: the from-scratch dense reference (solve_uncached), a cold
-/// sparse solve (fresh grid: CSR assembly + factorization + solve), and
+/// sparse solve (fresh grid: band assembly + factorization + solve), and
 /// a warm sparse solve (the same work on a grid that has solved before,
 /// under slow EM drift) — plus how many refinement CG iterations the
 /// solves spent. The acceptance bar is the 64x64 row: cold sparse must
@@ -432,7 +432,7 @@ void write_sparse_json() {
     row.nodes = side * side;
     pdn::PdnParams p;
     p.rows = p.cols = side;
-    const pdn::PdnGrid grid{p};
+    pdn::PdnGrid grid{p};
     const std::vector<double> loads(grid.node_count(), 0.002);
     const auto r = grid.fresh_segment_resistances(Celsius{85.0});
 
@@ -449,7 +449,7 @@ void write_sparse_json() {
     const int sparse_reps = side <= 32 ? 20 : 5;
     row.sparse_cold_ms = wall_ms([&] {
                            for (int i = 0; i < sparse_reps; ++i) {
-                             const pdn::PdnGrid cold{p};
+                             pdn::PdnGrid cold{p};
                              benchmark::DoNotOptimize(cold.solve(loads, r));
                            }
                          }) /

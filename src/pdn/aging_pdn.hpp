@@ -22,7 +22,7 @@ struct AgingPdnStats {
   std::size_t nucleated_segments = 0;
   std::size_t broken_segments = 0;
   std::size_t immortal_segments = 0;  // Blech-filtered
-  // Sparse-engine counters for the IR solves driving the aging loop
+  // Solver counters for the IR solves driving the aging loop
   // (copied from PdnGrid::solve_stats so harnesses can price the solver).
   std::size_t solver_factorizations = 0;
   std::size_t solver_cg_iterations = 0;

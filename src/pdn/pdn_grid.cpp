@@ -1,6 +1,6 @@
 #include "pdn/pdn_grid.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/ckpt/serialize.hpp"
@@ -59,36 +59,13 @@ std::vector<std::size_t> pad_nodes(const PdnParams& p) {
   return p.pad_nodes;
 }
 
-/// The conductance matrix's fixed pattern: the 5-point stencil (diagonal
-/// plus up to 4 mesh neighbours per node). Unit conductances keep it SPD
-/// so the solver can factor it at construction.
-math::sparse::CsrMatrix conductance_pattern(
-    std::size_t nodes, const std::vector<PdnGrid::Segment>& segments,
-    const std::vector<std::size_t>& pads) {
-  math::sparse::CsrBuilder builder(nodes, nodes, 5);
-  for (const PdnGrid::Segment& seg : segments) {
-    builder.add_edge(seg.a, seg.b, 1.0);
-  }
-  for (const std::size_t p : pads) builder.add_diagonal(p, 1.0);
-  return builder.build();
-}
-
 }  // namespace
 
 PdnGrid::PdnGrid(PdnParams params)
     : params_(checked(std::move(params))),
       segments_(mesh_segments(params_)),
       pads_(pad_nodes(params_)),
-      solver_(conductance_pattern(node_count(), segments_, pads_)) {
-  const math::sparse::CsrMatrix& g = solver_.matrix();
-  segment_slots_.reserve(segments_.size());
-  for (const auto [a, b] : segments_) {
-    segment_slots_.push_back({g.find(a, a), g.find(b, b), g.find(a, b),
-                              g.find(b, a)});
-  }
-  pad_slots_.reserve(pads_.size());
-  for (const std::size_t p : pads_) pad_slots_.push_back(g.find(p, p));
-}
+      matrix_(node_count(), params_.cols) {}
 
 std::size_t PdnGrid::node_index(std::size_t row, std::size_t col) const {
   DH_REQUIRE(row < params_.rows && col < params_.cols,
@@ -138,6 +115,9 @@ void PdnGrid::assemble_rhs(std::span<const double> load_amps,
 void PdnGrid::check_inputs(std::span<const double> load_amps,
                            std::span<const double> segment_resistance) const {
   DH_REQUIRE(load_amps.size() == node_count(), "load vector size mismatch");
+  for (const double load : load_amps) {
+    DH_REQUIRE(std::isfinite(load), "node load must be finite");
+  }
   DH_REQUIRE(segment_resistance.size() == segments_.size(),
              "segment resistance vector size mismatch");
   for (const double r : segment_resistance) {
@@ -168,37 +148,31 @@ PdnSolution PdnGrid::finish_solution(
 }
 
 PdnSolution PdnGrid::solve(std::span<const double> load_amps,
-                           std::span<const double> segment_resistance) const {
+                           std::span<const double> segment_resistance) {
   check_inputs(load_amps, segment_resistance);
   ++solve_stats_.solves;
   pdn_metrics().solves.add();
 
   {
     DH_PROF_SCOPE("pdn.refactorize");
-    // Scatter into the fixed pattern in a CsrBuilder assembly's
-    // summation order: every entry starts at 0, a diagonal adds its
-    // segments in segment order and then its pad terms.
-    const std::span<double> g = solver_.values();
-    std::fill(g.begin(), g.end(), 0.0);
+    // Every entry starts at +0.0; a diagonal adds its segments in
+    // segment order and then its pad terms.
+    matrix_.clear();
     for (std::size_t s = 0; s < segments_.size(); ++s) {
-      const double cond = 1.0 / segment_resistance[s];
-      const SegmentSlots& k = segment_slots_[s];
-      g[k.aa] += cond;
-      g[k.bb] += cond;
-      g[k.ab] += -cond;
-      g[k.ba] += -cond;
+      matrix_.add_edge(segments_[s].a, segments_[s].b,
+                       1.0 / segment_resistance[s]);
     }
     const double g_pad = 1.0 / params_.pad_resistance.value();
-    for (const std::size_t k : pad_slots_) g[k] += g_pad;
-    solver_.refactor();
+    for (const std::size_t p : pads_) matrix_.add_diagonal(p, g_pad);
+    matrix_.factor();
   }
   ++solve_stats_.factorizations;
   pdn_metrics().factorizations.add();
 
   assemble_rhs(load_amps, rhs_);
-  math::sparse::SpdSolveInfo info;
+  math::SpdSolveInfo info;
   std::vector<double> v;
-  solver_.solve(rhs_, v, &info);
+  matrix_.solve(rhs_, v, &info);
   solve_stats_.cg_iterations += info.cg_iterations;
   pdn_metrics().cg_iterations.add(info.cg_iterations);
   return finish_solution(std::move(v), segment_resistance);

@@ -11,8 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "common/math/banded_spd.hpp"
 #include "common/math/linalg.hpp"
-#include "common/math/sparse/spd_solver.hpp"
 #include "common/units.hpp"
 #include "em/wire.hpp"
 
@@ -48,7 +48,7 @@ struct PdnSolveStats {
   std::size_t solves = 0;
   std::size_t factorizations = 0;
   /// Refinement CG iterations across all solves (ill-conditioned aged
-  /// grids; see math::sparse::SpdSolver::solve).
+  /// grids; see math::BandedSpd::solve).
   std::size_t cg_iterations = 0;
 };
 
@@ -78,23 +78,22 @@ class PdnGrid {
   [[nodiscard]] std::vector<double> fresh_segment_resistances(
       Celsius t) const;
 
-  /// Solve the mesh: `load_amps` is the current drawn at each node;
-  /// `segment_resistance` allows aged overrides (same order as segments).
+  /// Solve the mesh: `load_amps` is the current drawn at each node
+  /// (finite); `segment_resistance` allows aged overrides (same order as
+  /// segments).
   ///
-  /// Runs on the sparse engine (common/math/sparse). The conductance
-  /// matrix's pattern is fixed at construction; every call scatters the
-  /// conductances into its values, refactors in place (banded Cholesky)
-  /// and back-substitutes. No result is cached, so the answer depends
-  /// only on the arguments. The grid owns the factor and the solve
-  /// workspace, and they and the solve counters make this method
-  /// non-reentrant: a PdnGrid instance must not be solved from two
-  /// threads at once (parallel sweeps give each task its own grid).
-  [[nodiscard]] PdnSolution solve(
-      std::span<const double> load_amps,
-      std::span<const double> segment_resistance) const;
+  /// Every call assembles the conductances into the grid's banded matrix
+  /// (common/math/banded_spd), factors it in place (banded Cholesky) and
+  /// back-substitutes. No result is cached, so the answer depends only on
+  /// the arguments. The grid owns the factor and the solve workspace, and
+  /// they and the solve counters make this method non-reentrant: a
+  /// PdnGrid instance must not be solved from two threads at once
+  /// (parallel sweeps give each task its own grid).
+  [[nodiscard]] PdnSolution solve(std::span<const double> load_amps,
+                                  std::span<const double> segment_resistance);
 
   /// Reference solver: assembles and dense-solves (LU) from scratch — the
-  /// agreement baseline the sparse engine is tested against.
+  /// agreement baseline the banded solve is tested against.
   [[nodiscard]] PdnSolution solve_uncached(
       std::span<const double> load_amps,
       std::span<const double> segment_resistance) const;
@@ -126,21 +125,13 @@ class PdnGrid {
       std::vector<double> node_voltage,
       std::span<const double> segment_resistance) const;
 
-  /// Positions in the conductance values of a segment's four stencil
-  /// entries: its two diagonals and the two off-diagonals.
-  struct SegmentSlots {
-    std::size_t aa, bb, ab, ba;
-  };
-
   PdnParams params_;
   std::vector<Segment> segments_;
   std::vector<std::size_t> pads_;
   // Solve state, reused by every solve (see solve(): non-reentrant).
-  mutable math::sparse::SpdSolver solver_;  // fixed conductance pattern
-  std::vector<SegmentSlots> segment_slots_;  // scatter map, per segment
-  std::vector<std::size_t> pad_slots_;       // scatter map, per pad
-  mutable std::vector<double> rhs_;
-  mutable PdnSolveStats solve_stats_;  // logically const: telemetry
+  math::BandedSpd matrix_;  // conductance matrix and its factor
+  std::vector<double> rhs_;
+  PdnSolveStats solve_stats_;
 };
 
 }  // namespace dh::pdn

@@ -1,6 +1,7 @@
 #include "thermal/thermal_grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/ckpt/serialize.hpp"
@@ -11,23 +12,27 @@ namespace dh::thermal {
 
 namespace {
 
-math::sparse::CsrMatrix conductance_matrix(const ThermalGridParams& p) {
+/// The factored conductance matrix.
+math::BandedSpd conductance_matrix(const ThermalGridParams& p) {
   DH_REQUIRE(p.rows >= 1 && p.cols >= 1, "grid must be non-empty");
   DH_REQUIRE(p.vertical_g_w_per_k > 0.0,
              "package conductance must be positive");
   // 5-point stencil: vertical escape on the diagonal, lateral coupling
-  // k * (w * t) / w = k * t to each mesh neighbour.
-  math::sparse::CsrBuilder builder(p.rows * p.cols, p.rows * p.cols, 5);
+  // k * (w * t) / w = k * t to each mesh neighbour. Tiles are numbered
+  // row by row, so the band is one row (or one tile for a single row).
+  math::BandedSpd g(p.rows * p.cols,
+                    p.rows > 1 ? p.cols : std::min<std::size_t>(p.cols - 1, 1));
   const double g_lat = p.k_silicon_w_per_mk * p.die_thickness.value();
   for (std::size_t r = 0; r < p.rows; ++r) {
     for (std::size_t c = 0; c < p.cols; ++c) {
       const std::size_t i = r * p.cols + c;
-      builder.add_diagonal(i, p.vertical_g_w_per_k);
-      if (r + 1 < p.rows) builder.add_edge(i, i + p.cols, g_lat);
-      if (c + 1 < p.cols) builder.add_edge(i, i + 1, g_lat);
+      g.add_diagonal(i, p.vertical_g_w_per_k);
+      if (r + 1 < p.rows) g.add_edge(i, i + p.cols, g_lat);
+      if (c + 1 < p.cols) g.add_edge(i, i + 1, g_lat);
     }
   }
-  return builder.build();
+  g.factor();
+  return g;
 }
 
 }  // namespace
@@ -50,6 +55,7 @@ std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {
 
 void ThermalGrid::set_power(std::size_t tile, Watts p) {
   DH_REQUIRE(tile < tile_count(), "tile index out of range");
+  DH_REQUIRE(std::isfinite(p.value()), "power must be finite");
   DH_REQUIRE(p.value() >= 0.0, "power must be non-negative");
   power_[tile] = p.value();
 }
@@ -57,6 +63,7 @@ void ThermalGrid::set_power(std::size_t tile, Watts p) {
 void ThermalGrid::set_power_map(std::span<const double> watts) {
   DH_REQUIRE(watts.size() == tile_count(), "power map size mismatch");
   for (std::size_t i = 0; i < watts.size(); ++i) {
+    DH_REQUIRE(std::isfinite(watts[i]), "power must be finite");
     DH_REQUIRE(watts[i] >= 0.0, "power must be non-negative");
     power_[i] = watts[i];
   }

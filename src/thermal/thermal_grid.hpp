@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "common/math/sparse/spd_solver.hpp"
+#include "common/math/banded_spd.hpp"
 #include "common/units.hpp"
 
 namespace dh::ckpt {
@@ -63,7 +63,7 @@ class ThermalGrid {
  private:
   ThermalGridParams params_;
   /// Factored conductance Laplacian plus vertical escape.
-  math::sparse::SpdSolver steady_;
+  math::BandedSpd steady_;
   std::vector<double> power_;
   std::vector<double> temp_rise_;  // above ambient
 };

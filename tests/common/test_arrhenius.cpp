@@ -47,10 +47,11 @@ TEST(Arrhenius, ThermalEnergyAtRoomTemperature) {
 }
 
 TEST(Arrhenius, RejectsNonPositiveTemperature) {
-  EXPECT_THROW(boltzmann_factor(ElectronVolts{1.0}, Kelvin{0.0}), Error);
-  EXPECT_THROW(thermal_energy_ev(Kelvin{-1.0}), Error);
-  EXPECT_THROW(arrhenius_acceleration(ElectronVolts{1.0}, Kelvin{300.0},
-                                      Kelvin{0.0}),
+  EXPECT_THROW((void)boltzmann_factor(ElectronVolts{1.0}, Kelvin{0.0}),
+               Error);
+  EXPECT_THROW((void)thermal_energy_ev(Kelvin{-1.0}), Error);
+  EXPECT_THROW((void)arrhenius_acceleration(ElectronVolts{1.0},
+                                            Kelvin{300.0}, Kelvin{0.0}),
                Error);
 }
 

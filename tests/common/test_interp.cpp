@@ -18,8 +18,8 @@ TEST(Interp, LinearInterpolation) {
 }
 
 TEST(Interp, RejectsMismatchedTables) {
-  EXPECT_THROW(interp_linear(std::vector<double>{0.0, 1.0},
-                             std::vector<double>{0.0}, 0.5),
+  EXPECT_THROW((void)interp_linear(std::vector<double>{0.0, 1.0},
+                                   std::vector<double>{0.0}, 0.5),
                Error);
 }
 

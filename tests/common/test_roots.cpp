@@ -26,8 +26,9 @@ TEST(Brent, ExactEndpoint) {
 }
 
 TEST(Brent, RequiresSignChange) {
-  EXPECT_THROW(brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               Error);
+  EXPECT_THROW(
+      (void)brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0),
+      Error);
 }
 
 TEST(Bisect, MatchesBrent) {
@@ -53,7 +54,8 @@ TEST(Golden, MinimizesAsymmetricFunction) {
 }
 
 TEST(Golden, RejectsEmptyInterval) {
-  EXPECT_THROW(golden_minimize([](double x) { return x; }, 1.0, 1.0), Error);
+  EXPECT_THROW((void)golden_minimize([](double x) { return x; }, 1.0, 1.0),
+               Error);
 }
 
 }  // namespace

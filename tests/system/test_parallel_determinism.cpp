@@ -96,7 +96,7 @@ TEST(PdnSolve, MatchesUncachedAcrossAgingRun) {
   // drift plus occasional jumps (void opening).
   pdn::PdnParams p;
   p.rows = p.cols = 6;
-  const pdn::PdnGrid grid{p};
+  pdn::PdnGrid grid{p};
   std::vector<double> loads(grid.node_count(), 0.0);
   for (std::size_t i = 0; i < loads.size(); ++i) {
     loads[i] = 0.001 + 0.0005 * static_cast<double>(i % 7);

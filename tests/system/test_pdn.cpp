@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -17,7 +18,7 @@ PdnGrid make_grid(std::size_t rows = 4, std::size_t cols = 4) {
 }
 
 TEST(Pdn, NoLoadMeansNoDrop) {
-  const PdnGrid g = make_grid();
+  PdnGrid g = make_grid();
   const std::vector<double> loads(g.node_count(), 0.0);
   const auto r = g.fresh_segment_resistances(Celsius{85.0});
   const PdnSolution sol = g.solve(loads, r);
@@ -111,10 +112,17 @@ TEST(Pdn, Validation) {
   p = PdnParams{};
   p.pad_nodes = {999};
   EXPECT_THROW(PdnGrid{p}, Error);
-  const PdnGrid g = make_grid();
-  EXPECT_THROW(g.solve(std::vector<double>{1.0},
-                       g.fresh_segment_resistances(Celsius{85.0})),
-               Error);
+  PdnGrid g = make_grid();
+  const auto r = g.fresh_segment_resistances(Celsius{85.0});
+  EXPECT_THROW((void)g.solve(std::vector<double>{1.0}, r), Error);
+  // A non-finite load must not come back as NaN voltages.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> loads(g.node_count(), 0.01);
+    loads[5] = bad;
+    EXPECT_THROW((void)g.solve(loads, r), Error) << bad;
+    EXPECT_THROW((void)g.solve_uncached(loads, r), Error) << bad;
+  }
 }
 
 }  // namespace

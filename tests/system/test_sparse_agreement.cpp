@@ -1,8 +1,8 @@
-// Sparse-vs-dense agreement for the ported grid solvers.
+// Banded-vs-dense agreement for the grid solvers.
 //
-// The sparse engine replaced dense LU inside PdnGrid and ThermalGrid; the
-// dense paths survive as reference baselines (`solve_uncached`, explicit
-// dense assembly here). These tests randomize grid shapes, pad sets, and
+// PdnGrid and ThermalGrid solve on math::BandedSpd; the dense paths
+// survive as reference baselines (`solve_uncached`, explicit dense
+// assembly here). These tests randomize grid shapes, pad sets, and
 // drift histories and require the engine to agree to <= 1e-10, pin the
 // refinement that broken-segment sentinels need, and check that a solve
 // depends on its arguments only.
@@ -13,12 +13,12 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/math/banded_spd.hpp"
 #include "common/math/linalg.hpp"
-#include "common/math/sparse/direct.hpp"
-#include "common/math/sparse/spd_solver.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "pdn/aging_pdn.hpp"
@@ -57,9 +57,9 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
 }
 
 /// The conductance system of a PdnGrid solve, assembled from scratch
-/// with CsrBuilder: the reference for the grid's fixed-pattern scatter.
+/// into a fresh matrix: the reference for the grid's reused one.
 struct AssembledPdn {
-  math::sparse::CsrMatrix a;
+  math::BandedSpd a;
   std::vector<double> rhs;
 };
 
@@ -67,24 +67,25 @@ AssembledPdn assemble_pdn(const pdn::PdnGrid& grid,
                           std::span<const double> load,
                           std::span<const double> seg_r) {
   const pdn::PdnParams& params = grid.params();
-  math::sparse::CsrBuilder builder(grid.node_count(), grid.node_count(), 5);
+  math::BandedSpd a(grid.node_count(), params.cols);
   for (std::size_t s = 0; s < grid.segment_count(); ++s) {
-    builder.add_edge(grid.segment(s).a, grid.segment(s).b, 1.0 / seg_r[s]);
+    a.add_edge(grid.segment(s).a, grid.segment(s).b, 1.0 / seg_r[s]);
   }
   const double g_pad = 1.0 / params.pad_resistance.value();
   std::vector<double> rhs(grid.node_count(), 0.0);
   for (const std::size_t p : grid.pads()) {
-    builder.add_diagonal(p, g_pad);
+    a.add_diagonal(p, g_pad);
     rhs[p] += g_pad * params.vdd.value();
   }
   for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= load[i];
-  return {builder.build(), std::move(rhs)};
+  a.factor();
+  return {std::move(a), std::move(rhs)};
 }
 
 // Three load patterns on one grid with random per-segment resistances,
-// through the sparse path AND the dense path. Agreement must hold on
+// through the banded path AND the dense path. Agreement must hold on
 // voltages and segment currents.
-void expect_grid_matches_dense(const pdn::PdnGrid& grid, Rng& rng,
+void expect_grid_matches_dense(pdn::PdnGrid& grid, Rng& rng,
                                const std::string& label) {
   std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{55.0});
   for (auto& r : seg_r) r *= rng.uniform(0.5, 2.0);
@@ -110,7 +111,7 @@ TEST(SparseAgreement, RandomizedGridsMatchDenseReference) {
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     Rng rng = Rng::stream(0x5AB5E, trial);
     const pdn::PdnParams params = random_pdn_params(rng);
-    const pdn::PdnGrid grid{params};
+    pdn::PdnGrid grid{params};
     expect_grid_matches_dense(grid, rng,
                               std::to_string(params.rows) + "x" +
                                   std::to_string(params.cols) + " trial " +
@@ -127,7 +128,7 @@ TEST(SparseAgreement, LargeGridMatchesDense) {
     pdn::PdnParams params;
     params.rows = rows;
     params.cols = 32;
-    const pdn::PdnGrid grid{params};
+    pdn::PdnGrid grid{params};
     expect_grid_matches_dense(grid, rng, std::to_string(rows) + "x32");
     EXPECT_EQ(grid.solve_stats().solves, 3u);
     EXPECT_EQ(grid.solve_stats().factorizations, 3u);
@@ -142,7 +143,7 @@ TEST(SparseAgreement, DriftSequenceStaysWithinToleranceOfDense) {
   pdn::PdnParams params;
   params.rows = 9;
   params.cols = 7;
-  const pdn::PdnGrid grid{params};
+  pdn::PdnGrid grid{params};
   std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{45.0});
   std::vector<double> load(grid.node_count());
   for (auto& v : load) v = rng.uniform(0.0, 0.015);
@@ -169,7 +170,7 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
   Rng rng = Rng::stream(0xB20E, 82);
   pdn::PdnParams params;
   params.rows = params.cols = 6;
-  const pdn::PdnGrid grid{params};
+  pdn::PdnGrid grid{params};
   std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto& r : seg_r) r *= rng.uniform(1.0, 1.5);
   std::vector<double> load(grid.node_count());
@@ -181,24 +182,24 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
         rng.uniform_int(0, static_cast<int>(seg_r.size()) - 1))] = 1e9;
   }
 
-  // The system PdnGrid::solve factors, built here so the plain
-  // back-substitution and the per-solve info are visible.
-  const AssembledPdn sys = assemble_pdn(grid, load, seg_r);
-  const math::sparse::CsrMatrix& a = sys.a;
+  // The system PdnGrid::solve factors, built here so the per-solve info
+  // is visible. Refinement runs only when the back-substituted solution
+  // misses the contract, so cg_iterations > 0 shows that it did.
+  AssembledPdn sys = assemble_pdn(grid, load, seg_r);
+  math::BandedSpd& a = sys.a;
   const std::vector<double>& rhs = sys.rhs;
   const auto relative_residual = [&](const std::vector<double>& x) {
-    std::vector<double> r = a.multiply(x);
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = rhs[i] - r[i];
+    std::vector<double> r(rhs.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      double ax = 0.0;
+      for (std::size_t j = 0; j < x.size(); ++j) ax += a.at(i, j) * x[j];
+      r[i] = rhs[i] - ax;
+    }
     return math::norm2(r) / math::norm2(rhs);
   };
-  std::vector<double> plain;
-  math::sparse::BandedCholesky{a}.solve(rhs, plain);
-  ASSERT_GT(relative_residual(plain), 1e-10);
-
-  math::sparse::SpdSolver solver{a};
-  math::sparse::SpdSolveInfo info;
+  math::SpdSolveInfo info;
   std::vector<double> v;
-  solver.solve(rhs, v, &info);
+  a.solve(rhs, v, &info);
   EXPECT_GT(info.cg_iterations, 0u);
   EXPECT_LE(info.relative_residual, 1e-10);
   EXPECT_DOUBLE_EQ(relative_residual(v), info.relative_residual);
@@ -219,14 +220,14 @@ TEST(SparseAgreement, BrokenSegmentSentinelsAreRefinedToTheContract) {
 TEST(SparseAgreement, ReusedGridWorkspaceMatchesFreshAssembly) {
   // One grid object solves fresh, aged and 1e9-ohm-sentinel resistance
   // vectors in turn; the sentinels, at ~1 A per node, make refinement
-  // run. Every solve must equal a fresh SpdSolver on a CsrBuilder
-  // assembly bit for bit. Mid-sequence, a non-positive resistance and an
+  // run. Every solve must equal a fresh matrix assembled from scratch bit
+  // for bit. Mid-sequence, a non-positive resistance and an
   // isolated node must each throw a named error, and the solve after
   // each must still be exact: the factor and workspace the grid reuses
   // carry nothing over.
   pdn::PdnParams params;
   params.rows = params.cols = 6;
-  const pdn::PdnGrid grid{params};
+  pdn::PdnGrid grid{params};
   Rng rng = Rng::stream(0xB20E, 82);
   const std::vector<double> fresh =
       grid.fresh_segment_resistances(Celsius{85.0});
@@ -279,11 +280,10 @@ TEST(SparseAgreement, ReusedGridWorkspaceMatchesFreshAssembly) {
       }
     }
     const auto got = grid.solve(load, seg_r);
-    const AssembledPdn sys = assemble_pdn(grid, load, seg_r);
-    math::sparse::SpdSolver solver{sys.a};
-    math::sparse::SpdSolveInfo info;
+    AssembledPdn sys = assemble_pdn(grid, load, seg_r);
+    math::SpdSolveInfo info;
     std::vector<double> want;
-    solver.solve(sys.rhs, want, &info);
+    sys.a.solve(sys.rhs, want, &info);
     EXPECT_EQ(got.node_voltage, want) << "solve " << k;
     if (info.cg_iterations > 0) ++refined;
     // Dense LU is accurate to ~1e-9 relative only on the sentinel
@@ -309,7 +309,7 @@ TEST(SparseAgreement, SolveDependsOnlyOnItsArguments) {
   pdn::PdnParams params;
   params.rows = params.cols = 6;
   Rng rng{77};
-  const pdn::PdnGrid used{params};
+  pdn::PdnGrid used{params};
   std::vector<double> r1 = used.fresh_segment_resistances(Celsius{85.0});
   std::vector<double> load(used.node_count());
   for (auto& v : load) v = rng.uniform(0.0, 0.02);
@@ -318,7 +318,7 @@ TEST(SparseAgreement, SolveDependsOnlyOnItsArguments) {
 
   (void)used.solve(load, r1);
   const auto again = used.solve(load, r2);
-  const pdn::PdnGrid fresh{params};
+  pdn::PdnGrid fresh{params};
   const auto want = fresh.solve(load, r2);
   EXPECT_EQ(again.node_voltage, want.node_voltage);
   EXPECT_EQ(again.segment_current, want.segment_current);
@@ -332,7 +332,7 @@ TEST(SparseAgreement, SingularPadlessGridRaisesDescriptiveError) {
   params.rows = 4;
   params.cols = 4;
   params.pad_resistance = Ohms{1e30};  // effectively disconnected pads
-  const pdn::PdnGrid grid{params};
+  pdn::PdnGrid grid{params};
   const auto seg_r = grid.fresh_segment_resistances(Celsius{25.0});
   std::vector<double> load(grid.node_count(), 1e-3);
   try {
@@ -350,40 +350,44 @@ TEST(SparseAgreement, SingularPadlessGridRaisesDescriptiveError) {
 }
 
 TEST(SparseAgreement, ThermalSteadyMatchesDenseAssembly) {
-  thermal::ThermalGridParams params;
-  params.rows = 10;
-  params.cols = 9;
-  thermal::ThermalGrid grid{params};
-  Rng rng{99};
-  std::vector<double> watts(grid.tile_count());
-  for (auto& v : watts) v = rng.uniform(0.0, 2.5);
-  grid.set_power_map(watts);
-  grid.solve_steady();
+  // Band 0 (1x1), band 1 (one row) and band 9 (a 10x9 mesh).
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {1, 9}, {10, 9}}) {
+    thermal::ThermalGridParams params;
+    params.rows = rows;
+    params.cols = cols;
+    thermal::ThermalGrid grid{params};
+    Rng rng{99};
+    std::vector<double> watts(grid.tile_count());
+    for (auto& v : watts) v = rng.uniform(0.0, 2.5);
+    grid.set_power_map(watts);
+    grid.solve_steady();
 
-  // Dense reference assembled from the same stencil definition.
-  const std::size_t n = grid.tile_count();
-  math::Matrix g(n, n, 0.0);
-  const double g_lat =
-      params.k_silicon_w_per_mk * params.die_thickness.value();
-  for (std::size_t r = 0; r < params.rows; ++r) {
-    for (std::size_t c = 0; c < params.cols; ++c) {
-      const std::size_t i = r * params.cols + c;
-      g(i, i) += params.vertical_g_w_per_k;
-      for (const std::size_t j :
-           {r + 1 < params.rows ? i + params.cols : i,
-            c + 1 < params.cols ? i + 1 : i}) {
-        if (j == i) continue;
-        g(i, i) += g_lat;
-        g(j, j) += g_lat;
-        g(i, j) -= g_lat;
-        g(j, i) -= g_lat;
+    // Dense reference assembled from the same stencil definition.
+    const std::size_t n = grid.tile_count();
+    math::Matrix g(n, n, 0.0);
+    const double g_lat =
+        params.k_silicon_w_per_mk * params.die_thickness.value();
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t i = r * cols + c;
+        g(i, i) += params.vertical_g_w_per_k;
+        for (const std::size_t j :
+             {r + 1 < rows ? i + cols : i, c + 1 < cols ? i + 1 : i}) {
+          if (j == i) continue;
+          g(i, i) += g_lat;
+          g(j, j) += g_lat;
+          g(i, j) -= g_lat;
+          g(j, i) -= g_lat;
+        }
       }
     }
-  }
-  const auto rise_ref = math::solve_dense(g, watts);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(grid.temperature(i).value(),
-                params.ambient.value() + rise_ref[i], kAgreementTol);
+    const auto rise_ref = math::solve_dense(g, watts);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(grid.temperature(i).value(),
+                  params.ambient.value() + rise_ref[i], kAgreementTol)
+          << rows << "x" << cols << " tile " << i;
+    }
   }
 }
 
@@ -398,7 +402,7 @@ TEST(SparseAgreement, ParallelPopulationSweepIsDeterministic) {
     pdn::PdnParams params;
     params.rows = 6 + i % 5;
     params.cols = 5 + i % 7;
-    const pdn::PdnGrid grid{params};
+    pdn::PdnGrid grid{params};
     auto seg_r = grid.fresh_segment_resistances(Celsius{50.0});
     std::vector<double> load(grid.node_count());
     for (auto& v : load) v = rng.uniform(0.0, 0.02);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace dh::thermal {
@@ -72,6 +75,14 @@ TEST(Thermal, PowerMapValidation) {
   EXPECT_THROW(g.set_power(999, Watts{1.0}), Error);
   EXPECT_THROW(g.set_power(0, Watts{-1.0}), Error);
   EXPECT_THROW(g.set_power_map(std::vector<double>{1.0}), Error);
+  // Non-finite watts would turn every temperature into NaN.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(g.set_power(0, Watts{bad}), Error) << bad;
+    std::vector<double> watts(g.tile_count(), 1.0);
+    watts[3] = bad;
+    EXPECT_THROW(g.set_power_map(watts), Error) << bad;
+  }
 }
 
 TEST(Thermal, IndexValidation) {
