@@ -68,6 +68,19 @@ void BM_SramArrayDay(benchmark::State& state) {
 }
 BENCHMARK(BM_SramArrayDay);
 
+void BM_SramArrayDayFlipping(benchmark::State& state) {
+  // The same day with data re-drawn every step: the stressed pull-ups'
+  // states differ, so each runs its own precursor chain.
+  sram::SramArrayParams p;
+  p.pattern = sram::DataPattern::kFlipping;
+  sram::SramArray array{p};
+  for (auto _ : state) {
+    array.step(Celsius{95.0}, hours(24.0), 0.1);
+    benchmark::DoNotOptimize(array.cell(0).left_pmos_dvth());
+  }
+}
+BENCHMARK(BM_SramArrayDayFlipping);
+
 void BM_KorhonenStep(benchmark::State& state) {
   em::KorhonenSolver solver{em::paper_wire(),
                             em::paper_calibrated_em_material()};

@@ -1,7 +1,10 @@
 #include "device/compact_bti.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/arrhenius.hpp"
 #include "common/ckpt/serialize.hpp"
@@ -38,6 +41,15 @@ inline void precursor_substep(double g, double k_lock, double p_max, double h,
 /// Devices whose precursor chains run in lockstep (local arrays).
 constexpr std::size_t kChunk = 64;
 
+/// Bit equality of two devices' precursor states. `==` would merge -0.0
+/// with +0.0, which are different inputs to a chain.
+bool same_precursors(double pu_a, double pl_a, double pu_b, double pl_b) {
+  return std::bit_cast<std::uint64_t>(pu_a) ==
+             std::bit_cast<std::uint64_t>(pu_b) &&
+         std::bit_cast<std::uint64_t>(pl_a) ==
+             std::bit_cast<std::uint64_t>(pl_b);
+}
+
 }  // namespace
 
 CompactBti::CompactBti(CompactBtiParams params) : params_(params) {
@@ -53,6 +65,7 @@ void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
 CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
                                    const BtiCondition& condition,
                                    Seconds dt) {
+  DH_REQUIRE(std::isfinite(dt.value()), "time step must be finite");
   DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
   CompactBtiStep step;
   if (dt.value() == 0.0) return step;
@@ -88,8 +101,10 @@ CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
         std::exp((v - params.stress_ref.gate_bias.value()) / params.gen_v0);
     step.k_lock_per_v_s = params.k_lock_per_v_s;
     step.p_max_v = params.p_max_v;
-    step.substeps =
-        std::max(1, static_cast<int>(std::ceil(dt.value() / 300.0)));
+    const double substeps = std::ceil(dt.value() / 300.0);
+    DH_REQUIRE(substeps <= std::numeric_limits<int>::max(),
+               "time step needs more precursor substeps than an int holds");
+    step.substeps = std::max(1, static_cast<int>(substeps));
     step.h = dt.value() / step.substeps;
   } else {
     step.kind = CompactBtiStep::Kind::kRecover;
@@ -128,7 +143,15 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
   // the lanes substep-major lets independent chains overlap and the inner
   // loop vectorise; each device still sees exactly its own sequence of
   // operations.
+  //
+  // Under a shared step a chain is a pure function of (pu, pl), so a
+  // stressed device whose state bit-equals the last lane's joins that lane
+  // (member[k] takes lane member_lane[k]'s result). Static SRAM data makes
+  // whole runs of equal states; only the previous lane is compared, so a
+  // batch without equal neighbours pays one comparison per device.
   std::size_t order[kChunk];
+  std::size_t member[kChunk];
+  std::size_t member_lane[kChunk];
   int substeps[kChunk];
   double g[kChunk];
   double k_lock[kChunk];
@@ -142,6 +165,7 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
       return steps[(first + i) * stride];
     };
     std::size_t lanes = 0;
+    std::size_t members = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const CompactBtiStep& step = step_of(i);
       if (step.kind == CompactBtiStep::Kind::kNone) continue;
@@ -151,6 +175,14 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
       d.pu_ *= step.pu_decay;  // both decays are exactly 1 under stress
       d.pl_ *= step.pl_decay;
       if (step.kind != CompactBtiStep::Kind::kStress) continue;
+      if (stride == 0 && lanes > 0) {  // lanes stay in opening order
+        const CompactBti& last = *devices[first + order[lanes - 1]];
+        if (same_precursors(d.pu_, d.pl_, last.pu_, last.pl_)) {
+          member[members] = i;
+          member_lane[members++] = lanes - 1;
+          continue;
+        }
+      }
       // Insert by descending substep count, so the lanes still running
       // at any substep are a prefix (a shared step never moves a lane).
       std::size_t j = lanes++;
@@ -194,6 +226,11 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
       CompactBti& d = *devices[first + order[j]];
       d.pu_ = pu[j];
       d.pl_ = pl[j];
+    }
+    for (std::size_t k = 0; k < members; ++k) {
+      CompactBti& d = *devices[first + member[k]];
+      d.pu_ = pu[member_lane[k]];
+      d.pl_ = pl[member_lane[k]];
     }
   }
 }

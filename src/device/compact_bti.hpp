@@ -96,7 +96,9 @@ class CompactBti {
   /// substep runs over the prefix of lanes that still have one to go.
   static void advance(std::span<const CompactBtiStep> steps,
                       std::span<CompactBti* const> devices);
-  /// The same kernel with one `step` shared by every device.
+  /// The same kernel with one `step` shared by every device. A stressed
+  /// device whose precursor state bit-equals that of the device before it
+  /// shares its chain, which is computed once.
   static void advance(const CompactBtiStep& step,
                       std::span<CompactBti* const> devices);
 

@@ -1,6 +1,7 @@
 #include "sram/sram_array.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -24,8 +25,26 @@ void SramArray::step(Celsius temperature, Seconds dt,
                      double boost_fraction) {
   DH_REQUIRE(boost_fraction >= 0.0 && boost_fraction <= 1.0,
              "boost fraction must be in [0,1]");
+  // Checked, and the steps prepared, before any bit is drawn, so a
+  // rejected step leaves the array (its data stream included) unchanged.
+  DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
+             "time step must be finite and non-negative");
+  DH_REQUIRE(std::isfinite(temperature.value()),
+             "temperature must be finite");
+  // The PMOS devices of all cells share params, so a phase is one batch
+  // per condition: the stressed and the resting pull-ups while holding,
+  // then every pull-up during the boost. A whole day's batches cost less
+  // than one pool job, so they run serially.
+  using device::CompactBti;
+  const SramCellParams& cp = params_.cell;
   const Seconds hold{dt.value() * (1.0 - boost_fraction)};
   const Seconds boost{dt.value() * boost_fraction};
+  const device::CompactBtiStep stress =
+      CompactBti::prepare(cp.bti, {cp.vdd, temperature}, hold);
+  const device::CompactBtiStep rest =
+      CompactBti::prepare(cp.bti, {Volts{0.0}, temperature}, hold);
+  const device::CompactBtiStep recover =
+      CompactBti::prepare(cp.bti, {cp.recovery_bias, temperature}, boost);
   // Data re-randomization draws from one shared stream; draw order is
   // part of the array's deterministic behaviour.
   if (params_.pattern == DataPattern::kFlipping) {
@@ -33,26 +52,18 @@ void SramArray::step(Celsius temperature, Seconds dt,
       bits_[i] = rng_.bernoulli(params_.p_one);
     }
   }
-  // The PMOS devices of all cells share params, so a phase is one batch
-  // per condition: the stressed and the resting pull-ups while holding,
-  // then every pull-up during the boost. A whole day's batches cost less
-  // than one pool job, so they run serially.
-  using device::CompactBti;
-  const SramCellParams& cp = params_.cell;
   std::vector<CompactBti*> batch;
   batch.reserve(2 * cells_.size());
   if (hold.value() > 0.0) {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       batch.push_back(&cells_[i].stressed_pmos(bits_[i]));
     }
-    CompactBti::advance(
-        CompactBti::prepare(cp.bti, {cp.vdd, temperature}, hold), batch);
+    CompactBti::advance(stress, batch);
     batch.clear();
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       batch.push_back(&cells_[i].resting_pmos(bits_[i]));
     }
-    CompactBti::advance(
-        CompactBti::prepare(cp.bti, {Volts{0.0}, temperature}, hold), batch);
+    CompactBti::advance(rest, batch);
     batch.clear();
   }
   if (boost.value() > 0.0) {
@@ -60,9 +71,7 @@ void SramArray::step(Celsius temperature, Seconds dt,
       batch.push_back(&c.left_pmos_);
       batch.push_back(&c.right_pmos_);
     }
-    CompactBti::advance(
-        CompactBti::prepare(cp.bti, {cp.recovery_bias, temperature}, boost),
-        batch);
+    CompactBti::advance(recover, batch);
   }
 }
 

@@ -8,6 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arrhenius.hpp"
@@ -277,6 +282,97 @@ TEST(CompactBtiBatch, AdvanceMatchesPerDeviceApplyBitForBit) {
   }
 }
 
+/// A device holding exactly these pool and precursor values.
+CompactBti with_state(double fast, double slow, double pu, double pl) {
+  ckpt::Serializer s;
+  s.begin_section("CBTI");
+  s.write_f64(fast);
+  s.write_f64(slow);
+  s.write_f64(pu);
+  s.write_f64(pl);
+  ckpt::Deserializer d{s.take()};
+  CompactBti m{};
+  m.load_state(d);
+  return m;
+}
+
+TEST(CompactBtiBatch, SharedStepDuplicateStatesMatchPerDeviceApply) {
+  // A shared stress step runs one precursor chain per run of bit-equal
+  // states; every device must still end exactly as its own apply.
+  CompactBti aged{};
+  aged.apply(paper_conditions::accelerated_stress(), hours(30.0));
+  aged.apply(paper_conditions::recovery_no4(), hours(2.0));
+  CompactBti other = aged;
+  other.apply(paper_conditions::accelerated_stress(), hours(3.0));
+  // Precursor states that a chain may not merge: one ulp apart in pl (a
+  // short chain keeps them apart) and the two zeros of pu.
+  const double pl_next = std::nextafter(0.01, 1.0);
+  const CompactBti last_bit = with_state(0.0, 0.0, 0.0, pl_next);
+  const CompactBti minus_zero = with_state(0.0, 0.0, -0.0, 0.01);
+  const CompactBti plus_zero = with_state(0.0, 0.0, 0.0, 0.01);
+  {
+    CompactBti a = last_bit;
+    CompactBti b = plus_zero;
+    a.apply(paper_conditions::accelerated_stress(), minutes(7.0));
+    b.apply(paper_conditions::accelerated_stress(), minutes(7.0));
+    ASSERT_NE(state_bytes(a), state_bytes(b));
+  }
+
+  using Batch = std::vector<CompactBti>;
+  struct Case {
+    std::string name;
+    std::function<CompactBti(std::size_t, std::size_t)> device;  // (i, n)
+  };
+  const std::vector<Case> cases = {
+      {"all fresh", [](std::size_t, std::size_t) { return CompactBti{}; }},
+      {"all aged", [&](std::size_t, std::size_t) { return aged; }},
+      {"two interleaved classes",
+       [&](std::size_t i, std::size_t) { return i % 2 ? other : aged; }},
+      {"two runs",
+       [&](std::size_t i, std::size_t n) { return i < n / 3 ? aged : other; }},
+      {"run broken by one device",
+       [&](std::size_t i, std::size_t n) { return i == n / 2 ? other : aged; }},
+      {"run broken at the end of the first chunk",
+       [&](std::size_t i, std::size_t) { return i == 63 ? other : aged; }},
+      {"last bit of pl",
+       [&](std::size_t i, std::size_t) {
+         return i % 3 == 1 ? last_bit : plus_zero;
+       }},
+      {"-0.0 against +0.0",
+       [&](std::size_t i, std::size_t) {
+         return i % 2 ? minus_zero : plus_zero;
+       }},
+  };
+  const CompactBtiParams params;
+  const BtiCondition stress = paper_conditions::accelerated_stress();
+  const BtiCondition recover = paper_conditions::recovery_no4();
+  for (const Case& c : cases) {
+    for (const std::size_t n : {1u, 64u, 65u, 130u}) {
+      Batch batched;
+      for (std::size_t i = 0; i < n; ++i) batched.push_back(c.device(i, n));
+      Batch reference = batched;
+      std::vector<CompactBti*> devices;
+      for (CompactBti& d : batched) devices.push_back(&d);
+      // Stress twice (equal states stay equal), recover, stress again.
+      const std::pair<BtiCondition, Seconds> rounds[] = {
+          {stress, minutes(7.0)},
+          {stress, hours(24.0)},
+          {recover, hours(2.4)},
+          {stress, hours(21.6)}};
+      for (std::size_t r = 0; r < std::size(rounds); ++r) {
+        const auto& [condition, dt] = rounds[r];
+        CompactBti::advance(CompactBti::prepare(params, condition, dt),
+                            devices);
+        for (CompactBti& d : reference) d.apply(condition, dt);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(state_bytes(batched[i]), state_bytes(reference[i]))
+              << c.name << ": n=" << n << " round=" << r << " device=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(CompactBtiBatch, PerDeviceAdvanceNeedsOneStepPerDevice) {
   std::vector<CompactBti> devices(2);
   std::vector<CompactBti*> ptrs{&devices[0], &devices[1]};
@@ -311,6 +407,37 @@ TEST(CompactBtiBatch, NegativeDtThrowsFromPrepare) {
       (void)CompactBti::prepare({}, paper_conditions::recovery_no2(),
                                 Seconds{-1e-9}),
       Error);
+}
+
+TEST(CompactBtiBatch, NonFiniteOrHugeDtThrowsFromPrepare) {
+  const auto expect_named_error = [](const BtiCondition& c, Seconds dt,
+                                     const std::string& phrase) {
+    try {
+      (void)CompactBti::prepare({}, c, dt);
+      ADD_FAILURE() << "dt=" << dt.value() << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(phrase), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const BtiCondition& c : {paper_conditions::accelerated_stress(),
+                                paper_conditions::recovery_no2()}) {
+    expect_named_error(c, Seconds{inf}, "finite");
+    expect_named_error(c, Seconds{std::nan("")}, "finite");
+  }
+  // 300 s per substep: past ~6.4e11 s the count leaves int's range.
+  const BtiCondition stress = paper_conditions::accelerated_stress();
+  expect_named_error(stress, Seconds{1e12}, "substeps");
+  expect_named_error(stress, Seconds{std::numeric_limits<double>::max()},
+                     "substeps");
+  const CompactBtiStep longest = CompactBti::prepare({}, stress, Seconds{6e11});
+  EXPECT_EQ(longest.substeps, 2000000000);
+  // A huge recovery step has no substeps and is fine.
+  EXPECT_EQ(CompactBti::prepare({}, paper_conditions::recovery_no2(),
+                                Seconds{1e12})
+                .kind,
+            CompactBtiStep::Kind::kRecover);
 }
 
 }  // namespace

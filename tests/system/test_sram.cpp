@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -266,6 +267,42 @@ TEST(SramArray, Validation) {
   SramArray ok{SramArrayParams{}};
   EXPECT_THROW(ok.step(Celsius{95.0}, hours(1.0), 1.5), Error);
   EXPECT_THROW((void)ok.cell(9999), Error);
+
+  // A rejected step draws no data and ages nothing: a flipping array that
+  // saw only rejected steps stays equal to an untouched twin, also after
+  // both take the same valid day.
+  p = SramArrayParams{};
+  p.cells = 8;
+  p.pattern = DataPattern::kFlipping;
+  SramArray rejected{p};
+  SramArray twin{p};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double boost : {0.0, 0.1, 1.0}) {
+    EXPECT_THROW(rejected.step(Celsius{95.0}, hours(-24.0), boost), Error);
+    EXPECT_THROW(rejected.step(Celsius{95.0}, Seconds{nan}, boost), Error);
+    EXPECT_THROW(rejected.step(Celsius{95.0}, Seconds{inf}, boost), Error);
+    if (boost < 1.0) {  // the hold needs more substeps than an int holds
+      EXPECT_THROW(rejected.step(Celsius{95.0}, Seconds{1e300}, boost),
+                   Error);
+    }
+    EXPECT_THROW(rejected.step(Celsius{nan}, hours(24.0), boost), Error);
+    EXPECT_THROW(rejected.step(Celsius{inf}, hours(24.0), boost), Error);
+  }
+  const auto expect_same = [&](const char* when) {
+    for (std::size_t i = 0; i < p.cells; ++i) {
+      EXPECT_EQ(rejected.cell(i).left_pmos_dvth().value(),
+                twin.cell(i).left_pmos_dvth().value())
+          << when << " cell " << i;
+      EXPECT_EQ(rejected.cell(i).right_pmos_dvth().value(),
+                twin.cell(i).right_pmos_dvth().value())
+          << when << " cell " << i;
+    }
+  };
+  expect_same("after the rejected steps");
+  rejected.step(Celsius{95.0}, hours(24.0));
+  twin.step(Celsius{95.0}, hours(24.0));
+  expect_same("after one valid day");
 }
 
 }  // namespace
