@@ -3,26 +3,12 @@
 // chip over two years under different recovery policies and report the
 // timing guardband each policy requires, the degradation-vs-time series
 // (the sawtooth of Fig. 12b), and the cost side (availability, energy).
-// A trailing section prices the observability layer on this very
-// workload (metrics off / metrics on / metrics + JSONL tracing) and
-// writes BENCH_obs.json via obs::json_output_path, so the "near-zero
-// cost when disabled" claim is measured here, not asserted.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
-#include "common/obs/bench_io.hpp"
-#include "common/obs/metrics.hpp"
-#include "common/obs/trace.hpp"
 #include "common/table.hpp"
 #include "sched/system_sim.hpp"
 
@@ -44,187 +30,11 @@ dh::sched::SystemParams hot_chip() {
   return p;
 }
 
-/// A fresh fig12 periodic-active simulator (deterministic: same seed and
-/// parameters every time, so the three overhead modes do identical work).
-dh::sched::SystemSimulator make_obs_sim() {
-  using namespace dh;
-  using namespace dh::sched;
-  return SystemSimulator{hot_chip(), make_periodic_active_policy(
-                                         {.period = hours(24.0),
-                                          .bti_recovery_fraction = 0.25,
-                                          .em_recovery_duty = 0.2})};
-}
-
-/// Instrumented-vs-uninstrumented overhead on the fig12 workload,
-/// written to BENCH_obs.json. Three modes:
-///   baseline — obs::set_enabled(false): every record is one flag load
-///   metrics  — the shipping default (registry on, tracing off)
-///   traced   — DH_TRACE-style JSONL tracing of every quantum
-///
-/// One simulator per mode, all three stepped in alternation through the
-/// same 2-year schedule in ~64-quantum blocks (sub-millisecond), so the
-/// modes sample the same machine conditions. Individual block times on
-/// this box swing by up to ~2x (scheduler preemption, frequency drift) —
-/// whole-run comparisons and even per-block paired ratios are hopeless —
-/// but the fastest blocks of each mode are unperturbed and land within a
-/// couple percent of each other run over run. The reported overhead
-/// therefore compares the mean of each mode's 5 fastest per-step block
-/// times: a trimmed-minimum estimator for additive, spiky noise.
-void write_obs_json() {
-  using namespace dh;
-  constexpr std::size_t kBlock = 64;
-  const std::string trace_path =
-      obs::json_output_path("BENCH_obs_fig12_trace.jsonl");
-
-  sched::SystemSimulator sims[3] = {make_obs_sim(), make_obs_sim(),
-                                    make_obs_sim()};
-  const auto target = static_cast<std::size_t>(
-      std::ceil(years(2.0).value() / hot_chip().quantum.value() - 1e-9));
-
-  obs::set_trace_sink(std::make_unique<obs::JsonlTraceSink>(trace_path));
-  obs::set_trace_paused(true);
-
-  const auto set_mode = [](int mode) {
-    obs::set_enabled(mode >= 1);
-    obs::set_trace_paused(mode != 2);
-  };
-  const auto run_block = [](sched::SystemSimulator& sim,
-                            std::size_t steps) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < steps; ++i) sim.step();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  double total_ms[3] = {0.0, 0.0, 0.0};
-  std::vector<double> step_ms[3];  // per-block wall time per quantum
-  bool warm = false;  // first block absorbs lazy init, excluded below
-  for (std::size_t done = 0; done < target; done += kBlock) {
-    const std::size_t steps = std::min(kBlock, target - done);
-    double block_ms[3];
-    for (int mode = 0; mode < 3; ++mode) {
-      set_mode(mode);
-      block_ms[mode] = run_block(sims[mode], steps);
-      total_ms[mode] += block_ms[mode];
-    }
-    if (warm) {
-      for (int mode = 0; mode < 3; ++mode) {
-        step_ms[mode].push_back(block_ms[mode] /
-                                static_cast<double>(steps));
-      }
-      if (std::getenv("DH_OBS_BENCH_DEBUG")) {
-        std::printf("block %3zu: b=%.3f m=%.3f t=%.3f  m/b=%.3f\n",
-                    done / kBlock, block_ms[0], block_ms[1], block_ms[2],
-                    block_ms[1] / block_ms[0]);
-      }
-    }
-    warm = true;
-  }
-  obs::set_trace_sink(nullptr);  // flush + close the trace file
-  obs::set_trace_paused(false);
-  obs::set_enabled(true);
-
-  const std::size_t q0 = sims[0].recovery_quanta();
-  const std::size_t q1 = sims[1].recovery_quanta();
-  const std::size_t q2 = sims[2].recovery_quanta();
-
-  // Mean of the 5 fastest per-step block times for one mode.
-  const auto trimmed_min = [](std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const std::size_t k = std::min<std::size_t>(5, v.size());
-    double sum = 0.0;
-    for (std::size_t i = 0; i < k; ++i) sum += v[i];
-    return sum / static_cast<double>(k);
-  };
-  const double base = trimmed_min(step_ms[0]);
-  const double metrics_pct =
-      base > 0.0 ? 100.0 * (trimmed_min(step_ms[1]) / base - 1.0) : 0.0;
-  const double traced_pct =
-      base > 0.0 ? 100.0 * (trimmed_min(step_ms[2]) / base - 1.0) : 0.0;
-
-  const std::string path = obs::json_output_path("BENCH_obs.json");
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"workload\": \"fig12_system_schedule periodic-active 2y\",\n";
-  json << "  \"block_quanta\": " << kBlock << ",\n";
-  json << "  \"blocks\": " << step_ms[0].size() << ",\n";
-  json << "  \"baseline_ms\": " << total_ms[0] << ",\n";
-  json << "  \"metrics_ms\": " << total_ms[1] << ",\n";
-  json << "  \"traced_ms\": " << total_ms[2] << ",\n";
-  json << "  \"metrics_overhead_pct\": " << metrics_pct << ",\n";
-  json << "  \"traced_overhead_pct\": " << traced_pct << ",\n";
-  json << "  \"recovery_quanta\": " << q1 << ",\n";
-  json << "  \"results_identical\": "
-       << ((q0 == q1 && q1 == q2) ? "true" : "false") << ",\n";
-  json << "  \"trace_file\": \"" << trace_path << "\"\n";
-  json << "}\n";
-  obs::write_file_atomic(path, json.str());
-  std::printf(
-      "\n%s written: baseline %.1f ms, metrics %.1f ms (%+.2f%%), "
-      "traced %.1f ms (%+.2f%%); recovery_quanta=%zu "
-      "(trace: %s — feed it to tools/trace_report)\n",
-      path.c_str(), total_ms[0], total_ms[1], metrics_pct, total_ms[2],
-      traced_pct, q1, trace_path.c_str());
-}
-
-/// Crash-recovery demo mode (exercised by tools/crash_recovery_smoke.sh):
-/// run the fig12 chip for 120 days with env-driven checkpointing into
-/// `dir`, printing a bit-exact digest line at the end. With
-/// `kill_after_steps > 0` the process instead runs that many quanta and
-/// then SIGKILLs itself — no atexit, no flushes, the honest crash — so a
-/// subsequent invocation without the kill must resume from the surviving
-/// checkpoint and print the same digest as an uninterrupted run.
-int run_ckpt_demo(const std::string& dir, long kill_after_steps) {
-  using namespace dh;
-  using namespace dh::sched;
-  setenv("DH_CKPT_DIR", dir.c_str(), 1);
-  setenv("DH_CKPT_EVERY", "8", 1);
-  const SystemParams p = hot_chip();
-  SystemSimulator sim{p, make_periodic_active_policy(
-                             {.period = hours(24.0),
-                              .bti_recovery_fraction = 0.25,
-                              .em_recovery_duty = 0.2})};
-  if (kill_after_steps > 0) {
-    sim.run(Seconds{p.quantum.value() *
-                    static_cast<double>(kill_after_steps)});
-    std::raise(SIGKILL);  // never returns
-  }
-  sim.run(days(120.0));
-  const SystemSummary s = sim.summary();
-  // %.17g round-trips doubles exactly: equal lines mean bit-equal state.
-  std::printf("CKPT_DEMO_DIGEST guardband=%.17g energy=%.17g "
-              "availability=%.17g recovery_quanta=%zu steps=%.17g\n",
-              s.guardband_fraction, s.energy_joules, s.availability,
-              s.recovery_quanta, sim.now().value());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dh;
   using namespace dh::sched;
-
-  std::string ckpt_demo_dir;
-  long kill_after_steps = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ckpt-demo") == 0 && i + 1 < argc) {
-      ckpt_demo_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--kill-after-steps") == 0 &&
-               i + 1 < argc) {
-      kill_after_steps = std::strtol(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--ckpt-demo DIR [--kill-after-steps N]]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (!ckpt_demo_dir.empty()) {
-    return run_ckpt_demo(ckpt_demo_dir, kill_after_steps);
-  }
 
   std::printf("== Fig. 12: system-level scheduled recovery, 4x4 cores, "
               "2 years ==\n\n");
@@ -293,6 +103,5 @@ int main(int argc, char** argv) {
       "as fast as the parked ones heal, so recovery must be scheduled\n"
       "deliberately (the paper's 'in-time scheduled recovery').\n");
 
-  write_obs_json();
   return 0;
 }

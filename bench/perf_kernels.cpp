@@ -6,8 +6,7 @@
 // BENCH_parallel.json (routed through obs::json_output_path, so
 // DH_BENCH_DIR controls where results land), so future PRs can track the
 // throughput trajectory machine-readably. A second section prices the
-// observability layer itself — record-call micro-costs and whole-sim
-// overhead — into BENCH_obs.json.
+// observability layer's record calls into BENCH_obs_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -328,12 +327,9 @@ void write_parallel_json() {
       sram_parallel_ms);
 }
 
-/// Prices the observability layer at the record-call level (counter add,
-/// histogram observe, gated-off flag check) and on a short system-sim
-/// run, writing BENCH_obs_kernels.json. fig12_system_schedule owns the
-/// canonical BENCH_obs.json (full 2-year workload); this file tracks the
-/// per-call micro-costs so a regression shows up even without the long
-/// run.
+/// Prices the observability layer's record calls (counter add, histogram
+/// observe), writing BENCH_obs_kernels.json, so a regression in the
+/// instrumentation every hot path carries shows up per call.
 void write_obs_kernels_json() {
   using Clock = std::chrono::steady_clock;
   constexpr std::size_t kOps = 2'000'000;
@@ -348,76 +344,25 @@ void write_obs_kernels_json() {
                .count() /
            static_cast<double>(kOps);
   };
-  const double counter_on_ns = time_ns_per_op([&] {
+  const double counter_ns = time_ns_per_op([&] {
     for (std::size_t i = 0; i < kOps; ++i) counter.add();
   });
-  const double hist_on_ns = time_ns_per_op([&] {
+  const double hist_ns = time_ns_per_op([&] {
     for (std::size_t i = 0; i < kOps; ++i) {
       hist.observe(static_cast<double>(i & 1023) + 0.5);
     }
   });
-  obs::set_enabled(false);
-  const double counter_off_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) counter.add();
-  });
-  const double hist_off_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      hist.observe(static_cast<double>(i & 1023) + 0.5);
-    }
-  });
-  obs::set_enabled(true);
-
-  // Whole-sim overhead on a short default-chip run (fig12 measures the
-  // full 2-year workload; this is the fast canary). Two sims stepped in
-  // alternating 50-quantum blocks so both modes see the same machine
-  // state; best-of-block minima stand in for the unperturbed times.
-  constexpr int kQuanta = 400;
-  constexpr int kSimBlock = 50;
-  sched::SystemParams p;
-  sched::SystemSimulator sim_base{p, sched::make_periodic_active_policy()};
-  sched::SystemSimulator sim_inst{p, sched::make_periodic_active_policy()};
-  const auto sim_block_ms = [&](sched::SystemSimulator& sim) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kSimBlock; ++i) sim.step();
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
-  double sim_baseline_ms = 0.0;
-  double sim_metrics_ms = 0.0;
-  std::vector<double> sim_ratio;
-  for (int done = 0; done < kQuanta; done += kSimBlock) {
-    obs::set_enabled(false);
-    const double tb = sim_block_ms(sim_base);
-    obs::set_enabled(true);
-    const double tm = sim_block_ms(sim_inst);
-    sim_baseline_ms += tb;
-    sim_metrics_ms += tm;
-    if (done > 0 && tb > 0.0) sim_ratio.push_back(tm / tb);
-  }
-  std::sort(sim_ratio.begin(), sim_ratio.end());
-  const double sim_overhead_pct =
-      sim_ratio.empty()
-          ? 0.0
-          : 100.0 * (sim_ratio[sim_ratio.size() / 2] - 1.0);
 
   std::ostringstream json;
   json << "{\n";
-  json << "  \"record_ns_per_op\": {\"counter_on\": " << counter_on_ns
-       << ", \"counter_off\": " << counter_off_ns
-       << ", \"histogram_on\": " << hist_on_ns
-       << ", \"histogram_off\": " << hist_off_ns << "},\n";
-  json << "  \"system_sim\": {\"quanta\": " << kQuanta
-       << ", \"baseline_ms\": " << sim_baseline_ms
-       << ", \"metrics_ms\": " << sim_metrics_ms
-       << ", \"overhead_pct\": " << sim_overhead_pct << "}\n";
+  json << "  \"record_ns_per_op\": {\"counter\": " << counter_ns
+       << ", \"histogram\": " << hist_ns << "}\n";
   json << "}\n";
   obs::write_file_atomic(obs::json_output_path("BENCH_obs_kernels.json"),
                          json.str());
   std::printf(
-      "BENCH_obs_kernels.json written: counter %.1f/%.1f ns on/off, "
-      "histogram %.1f/%.1f ns on/off, sim overhead %+.2f%%\n",
-      counter_on_ns, counter_off_ns, hist_on_ns, hist_off_ns,
-      sim_overhead_pct);
+      "BENCH_obs_kernels.json written: counter %.1f ns, histogram %.1f ns\n",
+      counter_ns, hist_ns);
 }
 
 /// Dense-LU vs banded-solve scaling curve for the PDN IR solve at

@@ -72,11 +72,6 @@ void Serializer::write_f64_vec(const std::vector<double>& v) {
   for (const double x : v) write_f64(x);
 }
 
-void Serializer::write_u64_vec(const std::vector<std::uint64_t>& v) {
-  write_u64(v.size());
-  for (const std::uint64_t x : v) write_u64(x);
-}
-
 void Serializer::write_bool_vec(const std::vector<bool>& v) {
   write_u64(v.size());
   for (const bool b : v) write_u8(b ? 1 : 0);
@@ -153,15 +148,6 @@ std::vector<double> Deserializer::read_f64_vec() {
   std::vector<double> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_f64());
-  return v;
-}
-
-std::vector<std::uint64_t> Deserializer::read_u64_vec() {
-  const std::uint64_t n = read_u64();
-  need(n * 8, "u64 vector payload");
-  std::vector<std::uint64_t> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_u64());
   return v;
 }
 

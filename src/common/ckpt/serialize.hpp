@@ -36,7 +36,6 @@ class Serializer {
   void write_f64(double v);
   void write_string(std::string_view s);
   void write_f64_vec(const std::vector<double>& v);
-  void write_u64_vec(const std::vector<std::uint64_t>& v);
   void write_bool_vec(const std::vector<bool>& v);
 
   /// Open a component section with a 4-character tag (e.g. "CBTI").
@@ -65,7 +64,6 @@ class Deserializer {
   [[nodiscard]] double read_f64();
   [[nodiscard]] std::string read_string();
   [[nodiscard]] std::vector<double> read_f64_vec();
-  [[nodiscard]] std::vector<std::uint64_t> read_u64_vec();
   [[nodiscard]] std::vector<bool> read_bool_vec();
 
   /// Consume and verify a section tag; dh::Error names both tags on

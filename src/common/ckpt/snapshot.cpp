@@ -26,6 +26,13 @@ std::vector<std::uint8_t> read_all(const std::string& path) {
   return data;
 }
 
+struct SnapshotHeader {
+  std::uint32_t version = 0;
+  std::string kind;
+  std::uint64_t payload_size = 0;
+  std::uint32_t payload_crc = 0;
+};
+
 SnapshotHeader parse_header(const std::string& path,
                             const std::vector<std::uint8_t>& data,
                             std::size_t* payload_offset) {
@@ -120,27 +127,6 @@ std::vector<std::uint8_t> read_snapshot(const std::string& path,
                 " does not match stored CRC " + want);
   }
   return payload;
-}
-
-SnapshotHeader read_snapshot_header(const std::string& path, bool* crc_ok) {
-  const std::vector<std::uint8_t> data = read_all(path);
-  std::size_t offset = 0;
-  const SnapshotHeader h = parse_header(path, data, &offset);
-  if (crc_ok != nullptr) {
-    *crc_ok =
-        crc32(data.data() + offset, h.payload_size) == h.payload_crc;
-  }
-  return h;
-}
-
-bool snapshot_valid(const std::string& path,
-                    const std::string& expected_kind) noexcept {
-  try {
-    (void)read_snapshot(path, expected_kind);
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace dh::ckpt

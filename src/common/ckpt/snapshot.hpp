@@ -28,13 +28,6 @@ namespace dh::ckpt {
 inline constexpr std::uint32_t kSchemaVersion = 3;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
-struct SnapshotHeader {
-  std::uint32_t version = 0;
-  std::string kind;
-  std::uint64_t payload_size = 0;
-  std::uint32_t payload_crc = 0;
-};
-
 /// Write `payload` to `path` atomically (temp file + rename). Throws
 /// dh::Error when the directory/file cannot be written. Emits a
 /// `ckpt/write` trace event.
@@ -46,17 +39,5 @@ void write_snapshot(const std::string& path, const std::string& kind,
 /// failure; never returns a partially-checked payload.
 [[nodiscard]] std::vector<std::uint8_t> read_snapshot(
     const std::string& path, const std::string& expected_kind = "");
-
-/// Header only (no payload CRC check beyond length) — what ckpt_inspect
-/// uses to describe a file. `crc_ok`, when non-null, receives the result
-/// of the full payload CRC check.
-[[nodiscard]] SnapshotHeader read_snapshot_header(const std::string& path,
-                                                  bool* crc_ok = nullptr);
-
-/// True if `path` exists and read_snapshot(path, expected_kind) would
-/// succeed. Never throws — the resume path uses this to treat a corrupt
-/// checkpoint as simply absent.
-[[nodiscard]] bool snapshot_valid(const std::string& path,
-                                  const std::string& expected_kind) noexcept;
 
 }  // namespace dh::ckpt

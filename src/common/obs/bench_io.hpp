@@ -8,7 +8,7 @@
 
 namespace dh::obs {
 
-/// Where a bench artifact named `filename` (e.g. "BENCH_obs.json") should
+/// Where a bench artifact named `filename` (e.g. "BENCH_sparse.json") should
 /// be written: "$DH_BENCH_DIR/<filename>" when DH_BENCH_DIR is set (the
 /// directory is created if missing; dh::Error if that fails), else
 /// `filename` in the current working directory.

@@ -2,37 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
 
 namespace dh::obs {
-
-namespace {
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    if (const char* env = std::getenv("DH_OBS")) {
-      if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-          std::strcmp(env, "OFF") == 0) {
-        return false;
-      }
-    }
-    return true;
-  }()};
-  return flag;
-}
-
-}  // namespace
-
-bool enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -91,7 +64,6 @@ double Histogram::bucket_upper(std::size_t idx) noexcept {
 }
 
 void Histogram::observe(double v) noexcept {
-  if (!enabled()) return;
   bins_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   // CAS min/max against +/-inf sentinels: min and max are commutative and

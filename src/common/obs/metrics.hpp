@@ -4,16 +4,14 @@
 //
 // Design constraints, in order:
 //   1. Observation only — recording a metric must never change simulation
-//      results. The deterministic `parallel_for` paths stay bit-identical
-//      whether observability is on or off.
+//      results.
 //   2. Thread-safe and TSan-clean without locks on the record path:
 //      counters are sharded per thread (padded atomics, exact under
 //      concurrency), histograms use fixed log-spaced buckets with atomic
 //      integer counts, so merges/sums are order-independent — the same
 //      snapshot comes out at any DH_THREADS value.
-//   3. Near-zero cost: a recording call is one relaxed atomic op behind a
-//      single relaxed flag load; `obs::set_enabled(false)` turns every
-//      record into that flag load alone (measured by BENCH_obs.json).
+//   3. Low cost: a counter add is one relaxed atomic op; perf_kernels
+//      times each record call into BENCH_obs_kernels.json.
 //
 // Call sites cache the metric reference in a function-local static so the
 // registry's name lookup (mutex-guarded) happens once per process:
@@ -34,12 +32,6 @@
 
 namespace dh::obs {
 
-/// Global observability gate (default on; initialised from DH_OBS, where
-/// "0"/"off" disables). When off, every record call reduces to one relaxed
-/// load — the knob BENCH_obs.json uses to price the instrumentation.
-[[nodiscard]] bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
-
 namespace detail {
 /// Stable small index for the calling thread, used to pick a counter
 /// shard. Threads are assigned round-robin on first use.
@@ -52,7 +44,6 @@ inline constexpr std::size_t kShards = 16;
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
     shards_[detail::thread_shard()].v.fetch_add(n,
                                                 std::memory_order_relaxed);
   }

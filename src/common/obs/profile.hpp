@@ -2,8 +2,7 @@
 // elapsed wall time of the enclosing block into the registry histogram
 // "prof.<label>" (milliseconds). The histogram lookup happens once per
 // call site (function-local static); each execution costs two steady-clock
-// reads plus one histogram observe — and only the enabled() flag load when
-// observability is switched off.
+// reads plus one histogram observe.
 #pragma once
 
 #include <chrono>
@@ -15,21 +14,17 @@ namespace dh::obs {
 class ProfScope {
  public:
   explicit ProfScope(Histogram& hist) noexcept
-      : hist_(enabled() ? &hist : nullptr) {
-    if (hist_ != nullptr) t0_ = std::chrono::steady_clock::now();
-  }
+      : hist_(hist), t0_(std::chrono::steady_clock::now()) {}
   ~ProfScope() {
-    if (hist_ != nullptr) {
-      hist_->observe(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0_)
-                         .count());
-    }
+    hist_.observe(std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0_)
+                      .count());
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  Histogram* hist_;
+  Histogram& hist_;
   std::chrono::steady_clock::time_point t0_;
 };
 

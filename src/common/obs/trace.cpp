@@ -114,13 +114,12 @@ std::atomic<bool> g_armed{false};
 std::mutex g_mu;
 std::unique_ptr<TraceSink> g_sink;          // guarded by g_mu
 bool g_env_pending = false;                 // DH_TRACE seen, not opened
-bool g_paused = false;                      // guarded by g_mu
 std::string g_env_path;                     // guarded by g_mu
 std::chrono::steady_clock::time_point g_epoch;  // guarded by g_mu
 
 // Recompute the hot-path flag from the full state (call under g_mu).
 void rearm_locked() {
-  g_armed.store(!g_paused && (g_sink != nullptr || g_env_pending),
+  g_armed.store(g_sink != nullptr || g_env_pending,
                 std::memory_order_relaxed);
 }
 
@@ -185,22 +184,12 @@ void trace_event_at(const char* category, const char* name,
   emit(category, name, sim_time_s, true, fields);
 }
 
-void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env) {
+void set_trace_sink(std::unique_ptr<TraceSink> sink) {
   std::lock_guard<std::mutex> lock(g_mu);
   if (g_sink) g_sink->flush();
   g_sink = std::move(sink);
   g_epoch = std::chrono::steady_clock::now();
-  if (g_sink) {
-    g_env_pending = false;
-  } else {
-    g_env_pending = rearm_env && !g_env_path.empty();
-  }
-  rearm_locked();
-}
-
-void set_trace_paused(bool paused) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_paused = paused;
+  g_env_pending = false;
   rearm_locked();
 }
 

@@ -85,16 +85,11 @@ void trace_event_at(const char* category, const char* name,
                     std::initializer_list<TraceField> fields);
 
 /// Install (or clear, with nullptr) the process trace sink. Replacing a
-/// sink flushes and destroys the old one. Clearing re-arms DH_TRACE only
-/// if `rearm_env` is true (tests usually want a clean off state).
-void set_trace_sink(std::unique_ptr<TraceSink> sink, bool rearm_env = false);
+/// sink flushes and destroys the old one. Either way a DH_TRACE file not
+/// yet opened is forgotten, so clearing leaves tracing off.
+void set_trace_sink(std::unique_ptr<TraceSink> sink);
 
 /// Flush the installed sink, if any.
 void flush_trace();
-
-/// Pause / resume emission without touching the installed sink. While
-/// paused trace_enabled() reads false, so guarded call sites pay only the
-/// flag load — used by overhead benchmarks to A/B a single sink.
-void set_trace_paused(bool paused);
 
 }  // namespace dh::obs

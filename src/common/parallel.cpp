@@ -1,8 +1,12 @@
 #include "common/parallel.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/obs/metrics.hpp"
@@ -24,6 +28,9 @@ struct PoolMetrics {
       obs::registry().histogram("pool.drain_wait_ms", "ms");
 };
 
+/// Upper bound on a pool's total thread count.
+constexpr std::size_t kMaxThreads = 256;
+
 PoolMetrics& pool_metrics() {
   static PoolMetrics* m = new PoolMetrics();
   return *m;
@@ -33,7 +40,7 @@ PoolMetrics& pool_metrics() {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
-  DH_REQUIRE(threads <= 256, "thread count out of range");
+  DH_REQUIRE(threads <= kMaxThreads, "thread count out of range");
   workers_.reserve(threads - 1);
   for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -50,12 +57,19 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("DH_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<std::size_t>(v > 256 ? 256 : v);
+  if (const char* env = std::getenv("DH_THREADS");
+      env != nullptr && env[0] != '\0') {
+    // Plain decimal digits only: from_chars takes no sign or whitespace
+    // and reports overflow instead of wrapping.
+    const char* end = env + std::strlen(env);
+    std::size_t v = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec != std::errc{} || ptr != end || v < 1 || v > kMaxThreads) {
+      throw Error(std::string("DH_THREADS='") + env +
+                  "' must be a whole number of threads from 1 to " +
+                  std::to_string(kMaxThreads));
     }
+    return v;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
@@ -137,13 +151,10 @@ void ThreadPool::parallel_for(std::size_t n,
     done_cv_.wait(lock, [&] { return active_workers_ == 0; });
   }
   const auto job_t1 = std::chrono::steady_clock::now();
-  if (obs::enabled()) {
-    m.drain_wait_ms.observe(
-        std::chrono::duration<double, std::milli>(job_t1 - drain_t0)
-            .count());
-    m.job_ms.observe(
-        std::chrono::duration<double, std::milli>(job_t1 - job_t0).count());
-  }
+  m.drain_wait_ms.observe(
+      std::chrono::duration<double, std::milli>(job_t1 - drain_t0).count());
+  m.job_ms.observe(
+      std::chrono::duration<double, std::milli>(job_t1 - job_t0).count());
   if (job.error) std::rethrow_exception(job.error);
 }
 

@@ -11,7 +11,8 @@
 // seed-forking discipline that keeps population statistics reproducible.
 //
 // The global pool is sized from the DH_THREADS environment variable when
-// set (clamped to [1, 256]), else from std::thread::hardware_concurrency.
+// set (a plain decimal from 1 to 256; anything else throws dh::Error),
+// else from std::thread::hardware_concurrency.
 // `set_global_thread_count` rebuilds the global pool — call it only from
 // a single thread with no parallel work in flight (tests/benchmarks).
 #pragma once
@@ -63,7 +64,9 @@ class ThreadPool {
     return out;
   }
 
-  /// DH_THREADS when set, else hardware_concurrency (min 1).
+  /// DH_THREADS when set and non-empty, else hardware_concurrency
+  /// (min 1). Throws dh::Error naming DH_THREADS when it is
+  /// set to anything but a plain decimal from 1 to 256.
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:

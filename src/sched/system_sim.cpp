@@ -1,13 +1,9 @@
 #include "sched/system_sim.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
+#include <limits>
 #include <string>
-#include <system_error>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/ckpt/snapshot.hpp"
@@ -240,49 +236,20 @@ void SystemSimulator::step() {
 }
 
 void SystemSimulator::run(Seconds lifetime) {
-  DH_REQUIRE(lifetime.value() > 0.0, "lifetime must be positive");
+  DH_REQUIRE(std::isfinite(lifetime.value()) && lifetime.value() > 0.0,
+             "lifetime must be positive and finite");
   // Run exactly ceil(lifetime / quantum) steps total (absolute target, so
   // repeated run() calls compose). The 1e-9 slack keeps an exact multiple
   // from rounding up on floating-point noise in the division.
-  const auto target = static_cast<std::size_t>(
-      std::ceil(lifetime.value() / params_.quantum.value() - 1e-9));
-  // Opt-in periodic checkpointing. Read per run() call (not cached) so a
-  // harness can set the variables between runs.
-  std::string ckpt_path;
-  std::size_t every = 0;
-  const char* dir = std::getenv("DH_CKPT_DIR");
-  if (dir != nullptr && dir[0] != '\0') {
-    every = 64;
-    if (const char* e = std::getenv("DH_CKPT_EVERY");
-        e != nullptr && e[0] != '\0') {
-      // Plain decimal digits only: from_chars takes no sign or
-      // whitespace and reports overflow instead of wrapping.
-      const char* end = e + std::strlen(e);
-      const auto [ptr, ec] = std::from_chars(e, end, every);
-      if (ec != std::errc{} || ptr != end || every == 0) {
-        throw Error(std::string("DH_CKPT_EVERY='") + e +
-                    "' must be a positive integer (quanta per checkpoint)");
-      }
-    }
-    // Seed- and policy-qualified name so simulators of different seeds or
-    // policies sharing one directory never collide (policy names are
-    // filename-safe).
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);  // best-effort; write errors
-                                                   // surface with the path
-    ckpt_path = std::string(dir) + "/sim_seed" +
-                std::to_string(params_.seed) + "_" + policy_->name() +
-                ".dhck";
-    if (steps_ == 0 && ckpt::snapshot_valid(ckpt_path, "system_sim")) {
-      load_checkpoint(ckpt_path);
-    }
-  }
-  while (steps_ < target) {
-    step();
-    if (every != 0 && steps_ % every == 0) {
-      save_checkpoint(ckpt_path);
-    }
-  }
+  const double steps =
+      std::ceil(lifetime.value() / params_.quantum.value() - 1e-9);
+  // The cast below is undefined for a value at or above SIZE_MAX + 1
+  // (what the limit rounds to as a double).
+  DH_REQUIRE(steps < static_cast<double>(
+                         std::numeric_limits<std::size_t>::max()),
+             "lifetime spans more quanta than a size_t step count holds");
+  const auto target = static_cast<std::size_t>(steps);
+  while (steps_ < target) step();
 }
 
 void SystemSimulator::save_state(ckpt::Serializer& s) const {
@@ -366,12 +333,6 @@ void SystemSimulator::load_checkpoint(const std::string& path) {
                 std::to_string(d.remaining()) +
                 " trailing byte(s) after the simulator state — snapshot "
                 "and build disagree on the layout");
-  }
-  static obs::Counter& resumes = obs::registry().counter("sim.resume");
-  resumes.add();
-  if (obs::trace_enabled()) {
-    obs::trace_event_at("sim", "resume", now_s_,
-                        {{"steps", static_cast<double>(steps_)}});
   }
 }
 

@@ -67,14 +67,10 @@ class SystemSimulator {
   /// Advance one scheduling quantum.
   void step();
 
-  /// Run until `lifetime` has elapsed. When the DH_CKPT_DIR environment
-  /// variable names a directory, the run checkpoints itself there every
-  /// DH_CKPT_EVERY quanta (default 64) under
-  /// `<dir>/sim_seed<seed>_<policy-name>.dhck`, and — if a valid
-  /// checkpoint for this
-  /// configuration already exists and no steps have run yet — resumes
-  /// from it bit-identically, so a killed run loses at most one
-  /// checkpoint interval.
+  /// Run until `lifetime` has elapsed: ceil(lifetime / quantum) steps in
+  /// total, counted from time zero, so repeated calls compose. Throws
+  /// dh::Error for a non-positive or non-finite lifetime, or one whose
+  /// step count does not fit a size_t.
   void run(Seconds lifetime);
 
   /// Checkpoint support: serialize the complete mutable state (cores,
@@ -91,8 +87,7 @@ class SystemSimulator {
   /// "system_sim") — see ckpt::write_snapshot for the format guarantees.
   void save_checkpoint(const std::string& path) const;
   /// Restore from a checkpoint file; validates magic, version, kind, and
-  /// CRC before any state is touched. Increments the `sim.resume`
-  /// counter.
+  /// CRC before any state is touched.
   void load_checkpoint(const std::string& path);
 
   [[nodiscard]] Seconds now() const { return Seconds{now_s_}; }

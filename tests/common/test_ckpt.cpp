@@ -62,7 +62,6 @@ TEST(Serializer, RoundTripsEveryFieldType) {
   s.write_f64(-0.1);  // not exactly representable: bit pattern must survive
   s.write_string("hello snapshot");
   s.write_f64_vec({1.0, 2.5, -3.75});
-  s.write_u64_vec({7, 8, 9});
   s.write_bool_vec({true, false, true, true});
 
   Deserializer d{s.take()};
@@ -76,7 +75,6 @@ TEST(Serializer, RoundTripsEveryFieldType) {
   EXPECT_EQ(d.read_f64(), -0.1);
   EXPECT_EQ(d.read_string(), "hello snapshot");
   EXPECT_EQ(d.read_f64_vec(), (std::vector<double>{1.0, 2.5, -3.75}));
-  EXPECT_EQ(d.read_u64_vec(), (std::vector<std::uint64_t>{7, 8, 9}));
   EXPECT_EQ(d.read_bool_vec(), (std::vector<bool>{true, false, true, true}));
   EXPECT_TRUE(d.exhausted());
 }
@@ -119,16 +117,17 @@ TEST_F(CkptTest, SnapshotRoundTrip) {
   write_snapshot(p, "unit_test", payload);
   EXPECT_EQ(read_snapshot(p, "unit_test"), payload);
   EXPECT_EQ(read_snapshot(p), payload);  // kind check optional
-  EXPECT_TRUE(snapshot_valid(p, "unit_test"));
   // Atomicity: no temp file left behind.
   EXPECT_FALSE(fs::exists(p + ".tmp"));
 
-  bool crc_ok = false;
-  const SnapshotHeader h = read_snapshot_header(p, &crc_ok);
-  EXPECT_EQ(h.version, kSchemaVersion);
-  EXPECT_EQ(h.kind, "unit_test");
-  EXPECT_EQ(h.payload_size, payload.size());
-  EXPECT_TRUE(crc_ok);
+  // The documented layout opens with the magic and the schema version.
+  std::ifstream in(p, std::ios::binary);
+  char magic[4] = {};
+  std::uint32_t version = 0;
+  in.read(magic, 4);
+  in.read(reinterpret_cast<char*>(&version), 4);
+  EXPECT_EQ(std::string(magic, 4), std::string(kMagic, 4));
+  EXPECT_EQ(version, kSchemaVersion);
 }
 
 TEST_F(CkptTest, EmptyPayloadIsValid) {
@@ -147,7 +146,6 @@ TEST_F(CkptTest, OverwriteReplacesAtomically) {
 
 TEST_F(CkptTest, MissingFileRejectedWithPath) {
   const std::string p = path("nope.dhck");
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
   try {
     (void)read_snapshot(p);
     FAIL() << "expected dh::Error";
@@ -159,7 +157,6 @@ TEST_F(CkptTest, MissingFileRejectedWithPath) {
 TEST_F(CkptTest, ForeignFileRejectedAsBadMagic) {
   const std::string p = path("foreign.dhck");
   std::ofstream(p) << "{\"this\": \"is json, not a snapshot\"}";
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
   try {
     (void)read_snapshot(p);
     FAIL() << "expected dh::Error";
@@ -181,7 +178,6 @@ TEST_F(CkptTest, VersionSkewNamesBothVersions) {
     f.seekp(4);
     f.write(reinterpret_cast<const char*>(&skewed), 4);
     f.close();
-    EXPECT_FALSE(snapshot_valid(p, "unit_test"));
     try {
       (void)read_snapshot(p);
       FAIL() << "expected dh::Error";
@@ -209,7 +205,6 @@ TEST_F(CkptTest, CorruptedPayloadRejectedByCrc) {
   c = static_cast<char>(c ^ 0x01);
   f.write(&c, 1);
   f.close();
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
   try {
     (void)read_snapshot(p);
     FAIL() << "expected dh::Error";
@@ -223,18 +218,21 @@ TEST_F(CkptTest, TruncatedFileRejected) {
   write_snapshot(p, "unit_test", std::vector<std::uint8_t>(64, 7));
   const auto full = fs::file_size(p);
   fs::resize_file(p, full - 10);
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
-  EXPECT_THROW((void)read_snapshot(p), Error);
+  try {
+    (void)read_snapshot(p);
+    FAIL() << "expected dh::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
   // Even a header-only stub must be rejected cleanly.
   fs::resize_file(p, 6);
-  EXPECT_FALSE(snapshot_valid(p, "unit_test"));
   EXPECT_THROW((void)read_snapshot(p), Error);
 }
 
 TEST_F(CkptTest, KindMismatchNamesBothKinds) {
   const std::string p = path("kind.dhck");
   write_snapshot(p, "system_sim", {1});
-  EXPECT_FALSE(snapshot_valid(p, "other_kind"));
   try {
     (void)read_snapshot(p, "other_kind");
     FAIL() << "expected dh::Error";

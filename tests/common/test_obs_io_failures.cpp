@@ -33,7 +33,6 @@ std::string read_file(const fs::path& path) {
 class ObsIoFailureTest : public testing::Test {
  protected:
   void SetUp() override {
-    obs::set_enabled(true);
     dir_ = fs::path(testing::TempDir()) /
            ("dh_obs_io_" + std::string(testing::UnitTest::GetInstance()
                                            ->current_test_info()

@@ -13,10 +13,9 @@ namespace dh {
 namespace {
 
 // Every test records into uniquely-named registry entries (the registry is
-// process-global) and restores the enabled flag it flipped.
+// process-global).
 
 TEST(ObsCounter, ConcurrentIncrementsAreExact) {
-  obs::set_enabled(true);
   obs::Counter& c =
       obs::registry().counter("test.obs.counter.concurrent");
   c.reset();
@@ -27,7 +26,6 @@ TEST(ObsCounter, ConcurrentIncrementsAreExact) {
 }
 
 TEST(ObsCounter, ConcurrentWeightedAddsSumExactly) {
-  obs::set_enabled(true);
   obs::Counter& c = obs::registry().counter("test.obs.counter.weighted");
   c.reset();
   ThreadPool pool{8};
@@ -36,17 +34,6 @@ TEST(ObsCounter, ConcurrentWeightedAddsSumExactly) {
   for (std::size_t i = 0; i < kN; ++i) expected += i % 7 + 1;
   pool.parallel_for(kN, [&](std::size_t i) { c.add(i % 7 + 1); });
   EXPECT_EQ(c.value(), expected);
-}
-
-TEST(ObsCounter, DisabledAddIsANoOp) {
-  obs::Counter& c = obs::registry().counter("test.obs.counter.disabled");
-  c.reset();
-  obs::set_enabled(false);
-  c.add(123);
-  obs::set_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
-  c.add(5);
-  EXPECT_EQ(c.value(), 5u);
 }
 
 // The value multiset fed to the order-independence tests: spreads over
@@ -58,7 +45,6 @@ double sample_value(std::size_t i) {
 }
 
 TEST(ObsHistogram, SnapshotIsIdenticalAtAnyThreadCount) {
-  obs::set_enabled(true);
   constexpr std::size_t kN = 20000;
   obs::Histogram reference;
   for (std::size_t i = 0; i < kN; ++i) reference.observe(sample_value(i));
@@ -83,7 +69,6 @@ TEST(ObsHistogram, SnapshotIsIdenticalAtAnyThreadCount) {
 }
 
 TEST(ObsHistogram, ObservationOrderDoesNotMatter) {
-  obs::set_enabled(true);
   constexpr std::size_t kN = 5000;
   obs::Histogram forward;
   obs::Histogram backward;
@@ -99,7 +84,6 @@ TEST(ObsHistogram, ObservationOrderDoesNotMatter) {
 }
 
 TEST(ObsHistogram, PercentilesLandWithinBucketResolution) {
-  obs::set_enabled(true);
   obs::Histogram h;
   for (int i = 1; i <= 1000; ++i) h.observe(static_cast<double>(i));
   const auto s = h.snapshot();
@@ -113,7 +97,6 @@ TEST(ObsHistogram, PercentilesLandWithinBucketResolution) {
 }
 
 TEST(ObsHistogram, ExtremeValuesLandInOverflowBins) {
-  obs::set_enabled(true);
   obs::Histogram h;
   h.observe(1e-300);  // below 2^-41: underflow bin
   h.observe(1e300);   // above 2^40: overflow bin

@@ -20,7 +20,6 @@ namespace dh {
 namespace {
 
 TEST(ObsTraceReport, ReproducesRecoveryQuantaFromARecordedRun) {
-  obs::set_enabled(true);
   const std::string path =
       testing::TempDir() + "dh_obs_report_sim.jsonl";
   obs::set_trace_sink(std::make_unique<obs::JsonlTraceSink>(path));

@@ -42,7 +42,6 @@ class ObsTraceTest : public testing::Test {
  protected:
   void TearDown() override {
     obs::set_trace_sink(nullptr);
-    obs::set_trace_paused(false);
   }
 };
 
@@ -96,24 +95,6 @@ TEST_F(ObsTraceTest, SinkFlushesOnDestruction) {
   // must leave every line on disk.
   obs::set_trace_sink(nullptr);
   EXPECT_EQ(read_lines(path).size(), 100u);
-}
-
-TEST_F(ObsTraceTest, PausingSuppressesEmissionWithoutDroppingTheSink) {
-  const std::string path = temp_path("dh_obs_trace_pause.jsonl");
-  obs::set_trace_sink(std::make_unique<obs::JsonlTraceSink>(path));
-  obs::trace_event("testcat", "before", {});
-  obs::set_trace_paused(true);
-  EXPECT_FALSE(obs::trace_enabled());
-  obs::trace_event("testcat", "while_paused", {});
-  obs::set_trace_paused(false);
-  EXPECT_TRUE(obs::trace_enabled());
-  obs::trace_event("testcat", "after", {});
-  obs::set_trace_sink(nullptr);
-
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"name\":\"before\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"name\":\"after\""), std::string::npos);
 }
 
 /// Record a fixed-seed 3-quantum system run to `path` and return the sim's

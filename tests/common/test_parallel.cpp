@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -103,6 +106,38 @@ TEST(ThreadPool, GlobalPoolIsConfigurable) {
 
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+}
+
+TEST(ThreadPool, DhThreadsAcceptsOnlyPlainDecimalsFromOneTo256) {
+  // Only default_thread_count() is called: no pool is ever built from the
+  // values under test.
+  const char* saved = std::getenv("DH_THREADS");
+  const bool was_set = saved != nullptr;
+  const std::string restore = was_set ? saved : "";
+  for (const auto& [value, expected] :
+       {std::pair<const char*, std::size_t>{"1", 1}, {"4", 4}, {"256", 256},
+        {"007", 7}}) {
+    setenv("DH_THREADS", value, 1);
+    EXPECT_EQ(ThreadPool::default_thread_count(), expected) << value;
+  }
+  setenv("DH_THREADS", "", 1);  // empty reads as unset
+  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  for (const char* bad : {"-3", "abc", "4x", "0", "257", "+4", " 4", "4 ",
+                          "0x10", "2.5", "99999999999999999999"}) {
+    setenv("DH_THREADS", bad, 1);
+    try {
+      (void)ThreadPool::default_thread_count();
+      ADD_FAILURE() << "DH_THREADS='" << bad << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DH_THREADS"), std::string::npos)
+          << e.what();
+    }
+  }
+  if (was_set) {
+    setenv("DH_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("DH_THREADS");
+  }
 }
 
 }  // namespace

@@ -165,6 +165,25 @@ TEST(SystemSim, RejectsNonPositiveOrNonFiniteQuantum) {
   }
 }
 
+TEST(SystemSim, RejectsNonFiniteOrHugeLifetimeBeforeAnyStep) {
+  // inf and 1e30 s (4.6e25 six-hour quanta) would overflow the size_t
+  // step count; each must throw before the first step.
+  for (const double life : {std::numeric_limits<double>::infinity(), 1e30,
+                            std::numeric_limits<double>::quiet_NaN(), 0.0,
+                            -3600.0}) {
+    SystemSimulator sim{small_system(), make_no_recovery_policy()};
+    try {
+      sim.run(Seconds{life});
+      ADD_FAILURE() << "lifetime " << life << " s was accepted";
+    } catch (const dh::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("lifetime"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.now().value(), 0.0);
+    EXPECT_TRUE(sim.degradation_trace().empty());
+  }
+}
+
 /// Hands every decision to `inner` and records each sensed Vth shift the
 /// simulator shows it.
 class RecordingPolicy : public RecoveryPolicy {
@@ -191,7 +210,6 @@ TEST(SystemSim, SensorOutliersFallBackToLastGoodReading) {
   // 0.4 V of sensor noise puts 2 * (1 - Phi(1.25)) = 21 % of the reads
   // beyond the 0.5 V sanity limit. Each must reach the policy as the
   // core's last good reading, never as the outlier itself.
-  obs::set_enabled(true);
   const obs::Counter& rejected = obs::registry().counter("sensor.rejected");
   const std::uint64_t before = rejected.value();
 

@@ -6,9 +6,8 @@
 # land there and are discarded), masks the lines that legitimately differ
 # from run to run, and diffs the rest against the committed golden file.
 #
-# The mask is one regex, MASK_RE below. It matches exactly two line kinds:
+# The mask is one regex, MASK_RE below. It matches exactly one line kind:
 #   [pool] N thread(s), ... wall time ...      (em_population_ttf)
-#   <dir>/BENCH_obs.json written: baseline ... (fig12_system_schedule)
 # A matching line is replaced by MASK_LINE, so the golden still records
 # that the line is there. Any other difference fails the test. When a
 # change moves an output on purpose, regenerate that golden (and name it
@@ -16,7 +15,7 @@
 # a DH_THREADS=1 run:
 #
 #   DH_THREADS=1 ./build/bench/<name> | sed -E \
-#     's/^(\[pool\] .* wall time |.*BENCH_obs\.json written: baseline ).*$/<masked: varies run to run>/' \
+#     's/^\[pool\] .* wall time .*$/<masked: varies run to run>/' \
 #     > bench/golden/<name>.txt
 #
 # usage: golden_check.sh <binary> <golden_file> <threads>
@@ -26,11 +25,11 @@ BIN="$1"
 GOLDEN="$2"
 THREADS="$3"
 
-MASK_RE='^(\[pool\] .* wall time |.*BENCH_obs\.json written: baseline ).*$'
+MASK_RE='^\[pool\] .* wall time .*$'
 MASK_LINE='<masked: varies run to run>'
 
 # Every DH_* variable the caller set could change the output (tracing,
-# checkpoint directories, metrics switch); run with none but ours.
+# thread count, artifact directory); run with none but ours.
 for v in $(env | sed -n 's/^\(DH_[A-Za-z0-9_]*\)=.*/\1/p'); do
     unset "$v"
 done
