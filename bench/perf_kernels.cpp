@@ -181,7 +181,7 @@ BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);
 void BM_PdnDenseSolve(benchmark::State& state) {
   pdn::PdnParams p;
   p.rows = p.cols = static_cast<std::size_t>(state.range(0));
-  const pdn::PdnGrid grid{p};
+  pdn::PdnGrid grid{p};
   const std::vector<double> loads(grid.node_count(), 0.002);
   const auto r = grid.fresh_segment_resistances(Celsius{85.0});
   for (auto _ : state) {
@@ -370,9 +370,8 @@ void write_obs_kernels_json() {
 /// row times: the from-scratch dense reference (solve_uncached), a cold
 /// sparse solve (fresh grid: band assembly + factorization + solve), and
 /// a warm sparse solve (the same work on a grid that has solved before,
-/// under slow EM drift) — plus how many refinement CG iterations the
-/// solves spent. The acceptance bar is the 64x64 row: cold sparse must
-/// beat dense by >= 10x.
+/// under slow EM drift). The acceptance bar is the 64x64 row: cold sparse
+/// must beat dense by >= 10x.
 void write_sparse_json() {
   struct Row {
     std::size_t side = 0;
@@ -381,7 +380,6 @@ void write_sparse_json() {
     double sparse_cold_ms = 0.0;
     double sparse_warm_ms = 0.0;
     double speedup_cold = 0.0;
-    std::size_t cg_iterations = 0;
   };
   std::vector<Row> rows;
   for (const std::size_t side : {8ul, 16ul, 32ul, 64ul}) {
@@ -426,7 +424,6 @@ void write_sparse_json() {
                          kWarmReps;
     row.speedup_cold =
         row.sparse_cold_ms > 0.0 ? row.dense_ms / row.sparse_cold_ms : 0.0;
-    row.cg_iterations = grid.solve_stats().cg_iterations;
     rows.push_back(row);
   }
 
@@ -439,8 +436,7 @@ void write_sparse_json() {
          << ", \"dense_ms\": " << row.dense_ms
          << ", \"sparse_cold_ms\": " << row.sparse_cold_ms
          << ", \"sparse_warm_ms\": " << row.sparse_warm_ms
-         << ", \"speedup_cold\": " << row.speedup_cold
-         << ", \"cg_iterations\": " << row.cg_iterations << "}"
+         << ", \"speedup_cold\": " << row.speedup_cold << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
@@ -449,10 +445,9 @@ void write_sparse_json() {
   for (const Row& row : rows) {
     std::printf(
         "BENCH_sparse %2zux%-2zu (%4zu nodes): dense %9.3f ms, "
-        "sparse cold %7.3f ms (%.0fx), warm %7.3f ms, cg_iters %zu\n",
+        "sparse cold %7.3f ms (%.0fx), warm %7.3f ms\n",
         row.side, row.side, row.nodes, row.dense_ms, row.sparse_cold_ms,
-        row.speedup_cold, row.sparse_warm_ms,
-        row.cg_iterations);
+        row.speedup_cold, row.sparse_warm_ms);
   }
 }
 

@@ -23,9 +23,10 @@
 
 namespace dh::ckpt {
 
-/// 3: the thermal section holds only the power map and temperature rise
-/// (no transient-cache keys or solve counters); older files are refused.
-inline constexpr std::uint32_t kSchemaVersion = 3;
+/// 4: the PDN solver section (PDNC) holds only the solve and
+/// factorization counts (no refinement iterations); older files are
+/// refused.
+inline constexpr std::uint32_t kSchemaVersion = 4;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 /// Write `payload` to `path` atomically (temp file + rename). Throws

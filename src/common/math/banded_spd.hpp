@@ -18,10 +18,8 @@
 
 namespace dh::math {
 
-/// Per-solve observability: how many refinement iterations the solve
-/// needed, and the true residual of the returned solution.
+/// Per-solve observability: the true residual of the returned solution.
 struct SpdSolveInfo {
-  std::size_t cg_iterations = 0;
   double residual_norm = 0.0;      // ||b - A x||_2
   double relative_residual = 0.0;  // residual_norm / ||b||_2 (0 for b=0)
 };
@@ -56,11 +54,8 @@ class BandedSpd {
 
   /// Solves A x = b into `x` (b must not alias x) by back-substitution
   /// through the factor. A solution whose true relative residual exceeds
-  /// 1e-10 (an ill-conditioned system, e.g. an aged grid with 1e9-ohm
-  /// broken segments) is refined by CG on A preconditioned by the factor;
-  /// one still above 1e-4 after refinement, or not finite, throws
-  /// dh::Error (singular to working precision). Records refinement work
-  /// into the `solver.cg_iters` histogram.
+  /// 1e-10, or is not finite, throws dh::Error: the matrix is singular
+  /// to working precision (or too ill-conditioned for one direct sweep).
   void solve(std::span<const double> b, std::vector<double>& x,
              SpdSolveInfo* info = nullptr);
 
@@ -76,17 +71,13 @@ class BandedSpd {
   /// r = b - A x, each row summed in ascending column order.
   void residual(std::span<const double> b, std::span<const double> x,
                 std::vector<double>& r) const;
-  void multiply(std::span<const double> x, std::vector<double>& y) const;
-  [[nodiscard]] std::size_t refine(std::span<const double> b,
-                                   std::vector<double>& x, double target);
 
   std::size_t n_;
   std::size_t band_;
   std::vector<double> a_;  // lower band, (band_+1) per row, row-major
   std::vector<double> l_;  // its Cholesky factor, same layout
   bool factored_ = false;
-  // Solve workspace; contents between calls are meaningless.
-  std::vector<double> r_, z_, p_, ap_, best_x_;
+  std::vector<double> r_;  // residual workspace; meaningless between calls
 };
 
 }  // namespace dh::math

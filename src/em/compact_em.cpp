@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/ckpt/serialize.hpp"
@@ -153,7 +154,7 @@ Pascals CompactEm::end_stress() const {
 }
 
 Ohms CompactEm::resistance(Celsius t) const {
-  if (broken_) return Ohms{1e9};
+  if (broken_) return Ohms{std::numeric_limits<double>::infinity()};
   return params_.wire.resistance_with_void(
       to_kelvin(t), Meters{void_mobile_m_ + void_fixed_m_});
 }

@@ -63,6 +63,8 @@ class CompactEm {
     return Meters{void_fixed_m_};
   }
   [[nodiscard]] bool broken() const { return broken_; }
+  /// Resistance at `t` with the void's liner shunt; +inf (open) once
+  /// broken.
   [[nodiscard]] Ohms resistance(Celsius t) const;
 
   /// Analytic nucleation time under constant stress (pi/4*(sc/G)^2/kappa).

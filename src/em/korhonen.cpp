@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/math/interp.hpp"
@@ -166,8 +167,8 @@ void KorhonenSolver::maybe_nucleate(WireEnd end) {
 
 Ohms KorhonenSolver::resistance(Celsius t) const {
   if (broken_) {
-    // The liner has cracked: the line is effectively open.
-    return Ohms{1e9};
+    // The liner has cracked: the line is open.
+    return Ohms{std::numeric_limits<double>::infinity()};
   }
   return wire_.resistance_with_void(to_kelvin(t), total_void_length());
 }

@@ -64,7 +64,7 @@ class KorhonenSolver {
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
 
   /// Wire resistance at measurement temperature `t`, including liner
-  /// shunting through both voids. Returns a large value once broken.
+  /// shunting through both voids; +inf (open) once broken.
   [[nodiscard]] Ohms resistance(Celsius t) const;
 
   [[nodiscard]] Pascals stress_at(WireEnd end) const;

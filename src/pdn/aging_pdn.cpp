@@ -71,7 +71,6 @@ AgingPdnStats AgingPdn::stats() const {
   AgingPdnStats st;
   st.worst_drop_v = last_.worst_drop_v;
   st.solver_factorizations = grid_.solve_stats().factorizations;
-  st.solver_cg_iterations = grid_.solve_stats().cg_iterations;
   for (std::size_t s = 0; s < segment_em_.size(); ++s) {
     const auto& em = segment_em_[s];
     st.max_void_len_m = std::max(st.max_void_len_m, em.void_length().value());

@@ -25,7 +25,6 @@ struct AgingPdnStats {
   // Solver counters for the IR solves driving the aging loop
   // (copied from PdnGrid::solve_stats so harnesses can price the solver).
   std::size_t solver_factorizations = 0;
-  std::size_t solver_cg_iterations = 0;
 };
 
 class AgingPdn {

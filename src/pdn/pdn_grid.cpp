@@ -1,10 +1,12 @@
 #include "pdn/pdn_grid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
+#include "common/math/linalg.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/profile.hpp"
 
@@ -19,8 +21,6 @@ struct PdnMetrics {
   obs::Counter& solves = obs::registry().counter("pdn.solve.calls");
   obs::Counter& factorizations =
       obs::registry().counter("pdn.solve.factorizations");
-  obs::Counter& cg_iterations =
-      obs::registry().counter("pdn.solve.cg_iterations");
 };
 
 PdnMetrics& pdn_metrics() {
@@ -65,7 +65,25 @@ PdnGrid::PdnGrid(PdnParams params)
     : params_(checked(std::move(params))),
       segments_(mesh_segments(params_)),
       pads_(pad_nodes(params_)),
-      matrix_(node_count(), params_.cols) {}
+      incident_start_(node_count() + 1, 0),
+      incident_(2 * segments_.size()),
+      matrix_(node_count(), params_.cols),
+      powered_(node_count()) {
+  for (const auto [a, b] : segments_) {
+    ++incident_start_[a + 1];
+    ++incident_start_[b + 1];
+  }
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    incident_start_[i + 1] += incident_start_[i];
+  }
+  std::vector<std::size_t> next(incident_start_.begin(),
+                                incident_start_.end() - 1);
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    incident_[next[segments_[s].a]++] = s;
+    incident_[next[segments_[s].b]++] = s;
+  }
+  frontier_.reserve(node_count());
+}
 
 std::size_t PdnGrid::node_index(std::size_t row, std::size_t col) const {
   DH_REQUIRE(row < params_.rows && col < params_.cols,
@@ -83,23 +101,47 @@ std::vector<double> PdnGrid::fresh_segment_resistances(Celsius t) const {
   return std::vector<double>(segments_.size(), r);
 }
 
-math::Matrix PdnGrid::assemble_conductance(
-    std::span<const double> segment_resistance) const {
-  const std::size_t n = node_count();
-  math::Matrix g(n, n, 0.0);
+void PdnGrid::mark_powered(std::span<const double> segment_resistance) {
+  std::fill(powered_.begin(), powered_.end(), 0);
+  frontier_.clear();
+  for (const std::size_t p : pads_) {
+    if (!powered_[p]) {
+      powered_[p] = 1;
+      frontier_.push_back(p);
+    }
+  }
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const std::size_t i = frontier_[head];
+    for (std::size_t k = incident_start_[i]; k < incident_start_[i + 1];
+         ++k) {
+      const std::size_t s = incident_[k];
+      if (std::isinf(segment_resistance[s])) continue;
+      const std::size_t j = segments_[s].a == i ? segments_[s].b
+                                                : segments_[s].a;
+      if (!powered_[j]) {
+        powered_[j] = 1;
+        frontier_.push_back(j);
+      }
+    }
+  }
+}
+
+template <class Edge, class Diagonal>
+void PdnGrid::assemble(std::span<const double> segment_resistance, Edge edge,
+                       Diagonal diagonal) {
+  mark_powered(segment_resistance);
+  // A finite segment with one powered end has two.
   for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const double cond = 1.0 / segment_resistance[s];
     const auto [a, b] = segments_[s];
-    g(a, a) += cond;
-    g(b, b) += cond;
-    g(a, b) -= cond;
-    g(b, a) -= cond;
+    if (powered_[a] && !std::isinf(segment_resistance[s])) {
+      edge(a, b, 1.0 / segment_resistance[s]);
+    }
   }
   const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) {
-    g(p, p) += g_pad;
+  for (const std::size_t p : pads_) diagonal(p, g_pad);
+  for (std::size_t i = 0; i < powered_.size(); ++i) {
+    if (!powered_[i]) diagonal(i, 1.0);
   }
-  return g;
 }
 
 void PdnGrid::assemble_rhs(std::span<const double> load_amps,
@@ -109,7 +151,9 @@ void PdnGrid::assemble_rhs(std::span<const double> load_amps,
   for (const std::size_t p : pads_) {
     rhs[p] += g_pad * params_.vdd.value();
   }
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] -= load_amps[i];
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    rhs[i] = powered_[i] ? rhs[i] - load_amps[i] : 0.0;
+  }
 }
 
 void PdnGrid::check_inputs(std::span<const double> load_amps,
@@ -120,6 +164,7 @@ void PdnGrid::check_inputs(std::span<const double> load_amps,
   }
   DH_REQUIRE(segment_resistance.size() == segments_.size(),
              "segment resistance vector size mismatch");
+  // Rejects NaN, -inf, zero and negative values; +inf (open) passes.
   for (const double r : segment_resistance) {
     DH_REQUIRE(r > 0.0, "segment resistance must be positive");
   }
@@ -158,31 +203,38 @@ PdnSolution PdnGrid::solve(std::span<const double> load_amps,
     // Every entry starts at +0.0; a diagonal adds its segments in
     // segment order and then its pad terms.
     matrix_.clear();
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      matrix_.add_edge(segments_[s].a, segments_[s].b,
-                       1.0 / segment_resistance[s]);
-    }
-    const double g_pad = 1.0 / params_.pad_resistance.value();
-    for (const std::size_t p : pads_) matrix_.add_diagonal(p, g_pad);
+    assemble(
+        segment_resistance,
+        [this](std::size_t a, std::size_t b, double g) {
+          matrix_.add_edge(a, b, g);
+        },
+        [this](std::size_t i, double g) { matrix_.add_diagonal(i, g); });
     matrix_.factor();
   }
   ++solve_stats_.factorizations;
   pdn_metrics().factorizations.add();
 
   assemble_rhs(load_amps, rhs_);
-  math::SpdSolveInfo info;
   std::vector<double> v;
-  matrix_.solve(rhs_, v, &info);
-  solve_stats_.cg_iterations += info.cg_iterations;
-  pdn_metrics().cg_iterations.add(info.cg_iterations);
+  matrix_.solve(rhs_, v);
   return finish_solution(std::move(v), segment_resistance);
 }
 
 PdnSolution PdnGrid::solve_uncached(
     std::span<const double> load_amps,
-    std::span<const double> segment_resistance) const {
+    std::span<const double> segment_resistance) {
   check_inputs(load_amps, segment_resistance);
-  const math::Matrix g = assemble_conductance(segment_resistance);
+  const std::size_t n = node_count();
+  math::Matrix g(n, n, 0.0);
+  assemble(
+      segment_resistance,
+      [&g](std::size_t a, std::size_t b, double cond) {
+        g(a, a) += cond;
+        g(b, b) += cond;
+        g(a, b) -= cond;
+        g(b, a) -= cond;
+      },
+      [&g](std::size_t i, double cond) { g(i, i) += cond; });
   std::vector<double> rhs;
   assemble_rhs(load_amps, rhs);
   return finish_solution(math::solve_dense(g, rhs), segment_resistance);
@@ -196,14 +248,12 @@ void PdnGrid::save_state(ckpt::Serializer& s) const {
   s.begin_section("PDNC");
   s.write_u64(solve_stats_.solves);
   s.write_u64(solve_stats_.factorizations);
-  s.write_u64(solve_stats_.cg_iterations);
 }
 
 void PdnGrid::load_state(ckpt::Deserializer& d) {
   d.expect_section("PDNC");
   solve_stats_.solves = static_cast<std::size_t>(d.read_u64());
   solve_stats_.factorizations = static_cast<std::size_t>(d.read_u64());
-  solve_stats_.cg_iterations = static_cast<std::size_t>(d.read_u64());
 }
 
 }  // namespace dh::pdn

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/math/banded_spd.hpp"
-#include "common/math/linalg.hpp"
 #include "common/units.hpp"
 #include "em/wire.hpp"
 
@@ -47,9 +46,6 @@ struct PdnParams {
 struct PdnSolveStats {
   std::size_t solves = 0;
   std::size_t factorizations = 0;
-  /// Refinement CG iterations across all solves (ill-conditioned aged
-  /// grids; see math::BandedSpd::solve).
-  std::size_t cg_iterations = 0;
 };
 
 struct PdnSolution {
@@ -80,7 +76,11 @@ class PdnGrid {
 
   /// Solve the mesh: `load_amps` is the current drawn at each node
   /// (finite); `segment_resistance` allows aged overrides (same order as
-  /// segments).
+  /// segments). Each resistance must be positive; +inf means the segment
+  /// is open (EM-broken) and is left out of the mesh. A node that no path
+  /// of finite segments joins to a pad is unpowered: it solves to exactly
+  /// 0 V (drop = VDD), its load is not delivered, and every segment
+  /// touching it carries exactly 0 A.
   ///
   /// Every call assembles the conductances into the grid's banded matrix
   /// (common/math/banded_spd), factors it in place (banded Cholesky) and
@@ -93,10 +93,12 @@ class PdnGrid {
                                   std::span<const double> segment_resistance);
 
   /// Reference solver: assembles and dense-solves (LU) from scratch — the
-  /// agreement baseline the banded solve is tested against.
+  /// agreement baseline the banded solve is tested against. Shares the
+  /// open-circuit handling and its workspace with solve(), so it is
+  /// non-reentrant too.
   [[nodiscard]] PdnSolution solve_uncached(
       std::span<const double> load_amps,
-      std::span<const double> segment_resistance) const;
+      std::span<const double> segment_resistance);
 
   /// Solve counters.
   [[nodiscard]] const PdnSolveStats& solve_stats() const {
@@ -115,8 +117,18 @@ class PdnGrid {
   [[nodiscard]] const std::vector<std::size_t>& pads() const { return pads_; }
 
  private:
-  [[nodiscard]] math::Matrix assemble_conductance(
-      std::span<const double> segment_resistance) const;
+  /// Marks in powered_ each node that a path of finite-resistance
+  /// segments joins to a pad (breadth-first from the pads).
+  void mark_powered(std::span<const double> segment_resistance);
+  /// The conductance system of one solve, through mark_powered:
+  /// edge(a, b, g) for each finite segment between powered nodes, then
+  /// diagonal(i, g) for each pad and a unit diagonal(i, 1) for each
+  /// unpowered node (its zero RHS then pins it to 0 V).
+  template <class Edge, class Diagonal>
+  void assemble(std::span<const double> segment_resistance, Edge edge,
+                Diagonal diagonal);
+  /// Pad injections minus loads; 0 on the nodes assemble() found
+  /// unpowered, so call it after assemble().
   void assemble_rhs(std::span<const double> load_amps,
                     std::vector<double>& rhs) const;
   void check_inputs(std::span<const double> load_amps,
@@ -128,9 +140,15 @@ class PdnGrid {
   PdnParams params_;
   std::vector<Segment> segments_;
   std::vector<std::size_t> pads_;
+  // Segments touching node i: incident_[incident_start_[i] ..
+  // incident_start_[i + 1]).
+  std::vector<std::size_t> incident_start_;
+  std::vector<std::size_t> incident_;
   // Solve state, reused by every solve (see solve(): non-reentrant).
   math::BandedSpd matrix_;  // conductance matrix and its factor
   std::vector<double> rhs_;
+  std::vector<unsigned char> powered_;  // see mark_powered
+  std::vector<std::size_t> frontier_;   // its BFS queue
   PdnSolveStats solve_stats_;
 };
 

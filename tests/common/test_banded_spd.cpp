@@ -1,7 +1,7 @@
 // Tests for math::BandedSpd, the grid solver: in-place assembly, the
-// banded Cholesky factor, factor-preconditioned CG refinement, and the
-// rejection paths (indefinite, singular, non-finite) that must raise
-// descriptive dh::Error instead of returning garbage.
+// banded Cholesky factor, the 1e-10 residual check, and the rejection
+// paths (indefinite, singular, ill-conditioned, non-finite) that must
+// raise descriptive dh::Error instead of returning garbage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,7 +106,6 @@ TEST(Cg, ZeroRhsReturnsZeroInZeroIterations) {
   SpdSolveInfo info;
   std::vector<double> x;
   a.solve(std::vector<double>(a.size(), 0.0), x, &info);
-  EXPECT_EQ(info.cg_iterations, 0u);
   EXPECT_EQ(info.relative_residual, 0.0);
   ASSERT_EQ(x.size(), a.size());
   for (const double v : x) EXPECT_EQ(v, 0.0);
@@ -212,6 +211,44 @@ TEST(SpdSolver, IndefiniteRaisesNamedError) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(SpdSolver, IllConditionedResidualMissRaises) {
+  // A 6x6 mesh (1e-2 S edges, 1e2 S corner pads, 1 A drawn at every
+  // node) whose 4x4 interior hangs on 1e-9 S links: conductances span
+  // 11 decades. The factor passes its pivot floor, but one sweep leaves
+  // a relative residual above 1e-10, and the solve must say so.
+  constexpr std::size_t kSide = 6;
+  const auto island = [](std::size_t i) {
+    const std::size_t r = i / kSide;
+    const std::size_t c = i % kSide;
+    return r >= 1 && r <= 4 && c >= 1 && c <= 4;
+  };
+  const auto g = [&](std::size_t i, std::size_t j) {
+    return island(i) != island(j) ? 1e-9 : 1e-2;
+  };
+  BandedSpd a(kSide * kSide, kSide);
+  for (std::size_t r = 0; r < kSide; ++r) {
+    for (std::size_t c = 0; c < kSide; ++c) {
+      const std::size_t i = r * kSide + c;
+      if (c + 1 < kSide) a.add_edge(i, i + 1, g(i, i + 1));
+      if (r + 1 < kSide) a.add_edge(i, i + kSide, g(i, i + kSide));
+    }
+  }
+  std::vector<double> b(a.size(), -1.0);
+  for (const std::size_t pad : {0ul, 5ul, 30ul, 35ul}) {
+    a.add_diagonal(pad, 1e2);
+    b[pad] += 1e2;
+  }
+  a.factor();
+  std::vector<double> x;
+  try {
+    a.solve(b, x);
+    FAIL() << "expected dh::Error for a residual above 1e-10";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string{e.what()}.find("singular"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -166,8 +166,8 @@ TEST_F(CkptTest, ForeignFileRejectedAsBadMagic) {
 }
 
 TEST_F(CkptTest, VersionSkewNamesBothVersions) {
-  // A newer build's snapshot and one from the previous schema (v2 files
-  // still carry the thermal transient cache) are both refused.
+  // A newer build's snapshot and one from the previous schema (v3 files
+  // still carry the PDN refinement-iteration count) are both refused.
   for (const std::uint32_t skewed :
        {kSchemaVersion + 41, kSchemaVersion - 1}) {
     const std::string p = path("skew.dhck");

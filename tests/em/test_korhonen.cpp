@@ -136,7 +136,7 @@ TEST(Korhonen, BreaksWhenVoidReachesCriticalLength) {
     s.step(j, t, minutes(30.0));
   }
   EXPECT_TRUE(s.broken());
-  EXPECT_GE(s.resistance(t).value(), 1e6);
+  EXPECT_TRUE(std::isinf(s.resistance(t).value()));  // open circuit
   // Stepping a broken wire is a no-op apart from time accounting.
   const double elapsed = s.elapsed().value();
   s.step(j, t, hours(1.0));

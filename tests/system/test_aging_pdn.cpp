@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "em/material.hpp"
 
 namespace dh::pdn {
@@ -74,14 +76,30 @@ TEST(AgingPdn, EmRecoveryModeHealsVoids) {
 }
 
 TEST(AgingPdn, WorstDropGrowsAsGridAges) {
+  // Voids widen the drop while every node is still powered. Then the 8
+  // pad-adjacent segments break, which cuts the 12 non-pad nodes off the
+  // pads: they read exactly 0 V, a full-VDD drop.
   AgingPdn pdn = make_hot_pdn();
   const auto loads = heavy_loads(pdn, 0.08);
   pdn.step(loads, Celsius{230.0}, hours(1.0));
   const double drop_fresh = pdn.stats().worst_drop_v;
+  pdn.step(loads, Celsius{230.0}, hours(1.0));
+  for (const double v : pdn.last_solution().node_voltage) EXPECT_NE(v, 0.0);
+  EXPECT_GT(pdn.stats().worst_drop_v, drop_fresh);
+
   for (int step = 0; step < 45; ++step) {
     pdn.step(loads, Celsius{230.0}, hours(1.0));
   }
-  EXPECT_GE(pdn.stats().worst_drop_v, drop_fresh);
+  const auto& pads = pdn.grid().pads();
+  std::size_t unpowered = 0;
+  for (std::size_t i = 0; i < pdn.grid().node_count(); ++i) {
+    if (std::find(pads.begin(), pads.end(), i) != pads.end()) continue;
+    EXPECT_EQ(pdn.last_solution().node_voltage[i], 0.0) << "node " << i;
+    ++unpowered;
+  }
+  EXPECT_EQ(unpowered, 12u);
+  EXPECT_EQ(pdn.stats().worst_drop_v, pdn.grid().params().vdd.value());
+  EXPECT_TRUE(pdn.failed());
 }
 
 TEST(AgingPdn, FailureFlagOnExcessiveDrop) {

@@ -80,30 +80,31 @@ std::string digest(const SystemSimulator& sim) {
          " broken=" + std::to_string(p.broken_segments) +
          " immortal=" + std::to_string(p.immortal_segments) +
          " factorizations=" + std::to_string(p.solver_factorizations) +
-         " cg_iterations=" + std::to_string(p.solver_cg_iterations) +
          " ir_drop_sum=" + g17(sum(sim.ir_drop_trace().raw_values())) +
          " temp_sum=" + g17(sum(sim.temperature_trace().raw_values()));
 }
 
 TEST(Fig12Pin, HotChipOutputsAreBitIdentical) {
   // Recorded at the commit before the lockstep core-aging kernel and the
-  // fixed-pattern PDN factor landed; both must reproduce it exactly.
+  // fixed-pattern PDN factor landed; both must reproduce it exactly. The
+  // PDN fields and ir_drop_sum were re-recorded when broken segments
+  // became open circuits (cut-off nodes at 0 V instead of gigavolts).
   const char* const expected[] = {
       "guardband=0.0066244730932671914 final=0.0066057718598487858"
       " ttf=21600 throughput=8.2861470784699183"
       " availability=0.99593113923917587 energy=147112372.14322686"
       " mean_temp=80.337641255929412 recovery_quanta=0"
-      " worst_drop=4396985891.0945883 max_void=6.1033379667343007e-08"
-      " nucleated=16 broken=16 immortal=1 factorizations=240"
-      " cg_iterations=188 ir_drop_sum=635892406740.23511"
+      " worst_drop=1 max_void=6.1024714241040021e-08"
+      " nucleated=16 broken=8 immortal=24 factorizations=240"
+      " ir_drop_sum=13169.28970925318"
       " temp_sum=20360.291154172355",
       "guardband=0.0066244730932671914 final=0.0066057718598487858"
       " ttf=21600 throughput=8.2861470784699183"
       " availability=0.99593113923917587 energy=147112372.14322686"
       " mean_temp=80.337641255929412 recovery_quanta=0"
-      " worst_drop=4396985891.0945883 max_void=6.1033379667343007e-08"
-      " nucleated=16 broken=16 immortal=1 factorizations=240"
-      " cg_iterations=188 ir_drop_sum=635892406740.23511"
+      " worst_drop=1 max_void=6.1024714241040021e-08"
+      " nucleated=16 broken=8 immortal=24 factorizations=240"
+      " ir_drop_sum=13169.28970925318"
       " temp_sum=20360.291154172355",
       "guardband=0.0056516304541557316 final=0.0025637492855845601"
       " ttf=21600 throughput=6.2207169147307946"
@@ -111,23 +112,23 @@ TEST(Fig12Pin, HotChipOutputsAreBitIdentical) {
       " mean_temp=72.553349763144439 recovery_quanta=120"
       " worst_drop=2.6770481500325722 max_void=3.5622780645810692e-08"
       " nucleated=17 broken=0 immortal=8 factorizations=240"
-      " cg_iterations=0 ir_drop_sum=40169.012956004168"
+      " ir_drop_sum=40169.012956004168"
       " temp_sum=18297.874217258082",
       "guardband=0.0066244730932671914 final=0.0066057718598487858"
       " ttf=21600 throughput=8.2861470784699183"
       " availability=0.99593113923917587 energy=147112372.14322686"
       " mean_temp=80.337641255929412 recovery_quanta=48"
-      " worst_drop=3161260711.8043365 max_void=6.1495819887822562e-08"
-      " nucleated=16 broken=8 immortal=0 factorizations=240"
-      " cg_iterations=61 ir_drop_sum=180069208307.54742"
+      " worst_drop=1 max_void=6.1495819988281384e-08"
+      " nucleated=16 broken=8 immortal=24 factorizations=240"
+      " ir_drop_sum=45452.367620694109"
       " temp_sum=20360.291154172355",
       "guardband=0.0084770673755363291 final=0.0078293010698871068"
       " ttf=21600 throughput=8.2833757534853749"
       " availability=0.99559804729391821 energy=139080471.69765386"
       " mean_temp=78.954280977467349 recovery_quanta=240"
-      " worst_drop=3079178704.7539134 max_void=6.2091040139518962e-08"
-      " nucleated=16 broken=8 immortal=0 factorizations=240"
-      " cg_iterations=60 ir_drop_sum=167291488026.34592"
+      " worst_drop=1 max_void=6.2091040262899012e-08"
+      " nucleated=16 broken=8 immortal=24 factorizations=240"
+      " ir_drop_sum=44170.35093019373"
       " temp_sum=20500.397348481769",
   };
   std::vector<std::unique_ptr<RecoveryPolicy>> policies = fig12_policies();
