@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "em/compact_em.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
+#include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
 #include "sched/system_sim.hpp"
 #include "sram/sram_array.hpp"
@@ -143,6 +145,38 @@ void BM_CompactEmStepNewTemperature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompactEmStepNewTemperature);
+
+void BM_AgingPdnStep(benchmark::State& state) {
+  // fig12's 4x4 PDN (default pads and material) under hot-chip core
+  // currents, at a new temperature on every call, as the simulator steps
+  // it once per quantum: all mortal segments share one EM prepare. The
+  // grid restarts fresh every 2920 calls (one fig12 policy run of 6 h
+  // quanta over two years), so the timed mix of stepped, voided and
+  // broken segments stays that of a run.
+  pdn::PdnParams p;
+  p.rows = 4;
+  p.cols = 4;
+  const std::vector<double> loads(p.rows * p.cols, 1.6);
+  obs::Counter& evals = obs::registry().counter("em.compact.evals");
+  const std::uint64_t evals_before = evals.value();
+  std::optional<pdn::AgingPdn> grid;
+  std::size_t q = 0;
+  for (auto _ : state) {
+    if (q % 2920 == 0) {
+      state.PauseTiming();
+      grid.emplace(p, em::EmMaterialParams{});
+      state.ResumeTiming();
+    }
+    grid->step(loads, Celsius{80.0 + 1e-3 * static_cast<double>(q % 2920)},
+               hours(6.0));
+    ++q;
+    benchmark::DoNotOptimize(grid->last_solution().worst_drop_v);
+  }
+  state.counters["em_evals_per_call"] =
+      static_cast<double>(evals.value() - evals_before) /
+      static_cast<double>(q);
+}
+BENCHMARK(BM_AgingPdnStep);
 
 void BM_ThermalSteadySolve(benchmark::State& state) {
   thermal::ThermalGridParams p;

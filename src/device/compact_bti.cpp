@@ -38,6 +38,13 @@ inline void precursor_substep(double g, double k_lock, double p_max, double h,
   pu = std::max(pu, 0.0);
 }
 
+/// Checks a step's dt; true when it is zero (the state is left as is).
+bool empty_step(Seconds dt) {
+  DH_REQUIRE(std::isfinite(dt.value()), "time step must be finite");
+  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
+  return dt.value() == 0.0;
+}
+
 /// Devices whose precursor chains run in lockstep (local arrays).
 constexpr std::size_t kChunk = 64;
 
@@ -65,40 +72,62 @@ void CompactBti::apply(const BtiCondition& condition, Seconds dt) {
 CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
                                    const BtiCondition& condition,
                                    Seconds dt) {
-  DH_REQUIRE(std::isfinite(dt.value()), "time step must be finite");
-  DH_REQUIRE(dt.value() >= 0.0, "time step must be non-negative");
-  CompactBtiStep step;
-  if (dt.value() == 0.0) return step;
+  // Before any factor, so a zero dt (an SRAM day without boost) costs no
+  // exp.
+  if (empty_step(dt)) return {};
+  const CompactBtiBias bias = bias_factors(params, condition.gate_bias);
   const Kelvin t = to_kelvin(condition.temperature);
-  const double v = condition.gate_bias.value();
+  const Kelvin stress_ref = to_kelvin(params.stress_ref.temperature);
+  const double kinetics_af = arrhenius_acceleration(
+      params.kinetics_ea, t,
+      bias.stress ? stress_ref : to_kelvin(params.recover_ref.temperature));
+  const double gen_af =
+      bias.stress ? arrhenius_acceleration(params.gen_ea, t, stress_ref)
+                  : 1.0;
+  return prepare(params, bias, kinetics_af, gen_af, dt);
+}
 
-  if (condition.is_stress()) {
-    step.kind = CompactBtiStep::Kind::kStress;
-    const double af_t = arrhenius_acceleration(
-        params.kinetics_ea, t, to_kelvin(params.stress_ref.temperature));
-    const double af_v =
-        std::exp((v - params.stress_ref.gate_bias.value()) / params.v0);
-    const double accel = af_t * af_v;
+CompactBtiBias CompactBti::bias_factors(const CompactBtiParams& params,
+                                        Volts gate_bias) {
+  CompactBtiBias bias;
+  const double v = gate_bias.value();
+  bias.stress = BtiCondition{gate_bias}.is_stress();
+  if (bias.stress) {
+    const double v_ref = params.stress_ref.gate_bias.value();
+    bias.accel_v = std::exp((v - v_ref) / params.v0);
     // Saturation level scales strongly with overdrive (the trap ensemble
     // only fills up to a voltage-dependent energy cutoff; a cubic law
     // tracks the calibrated model well across 0.6-1.2 V).
-    const double ratio =
-        std::max(0.1, v / params.stress_ref.gate_bias.value());
-    const double sat_scale = ratio * ratio * ratio;
-    step.fast_target = params.fast_sat_v * sat_scale;
+    const double ratio = std::max(0.1, v / v_ref);
+    bias.sat_scale = ratio * ratio * ratio;
+    // Generation carries its own (stronger) voltage acceleration,
+    // mirroring the full model's gen_v0.
+    bias.gen_accel_v = std::exp((v - v_ref) / params.gen_v0);
+  } else {
+    const double v_ref = -params.recover_ref.gate_bias.value();
+    bias.accel_v = std::exp((std::max(-v, 0.0) - v_ref) / params.v0);
+  }
+  return bias;
+}
+
+CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
+                                   const CompactBtiBias& bias,
+                                   double kinetics_af, double gen_af,
+                                   Seconds dt) {
+  CompactBtiStep step;
+  if (empty_step(dt)) return step;
+  const double accel = kinetics_af * bias.accel_v;
+
+  if (bias.stress) {
+    step.kind = CompactBtiStep::Kind::kStress;
+    step.fast_target = params.fast_sat_v * bias.sat_scale;
     step.fast_decay =
         relax_decay(params.fast_tau_stress_s / accel, dt.value());
-    step.slow_target = params.slow_sat_v * sat_scale;
+    step.slow_target = params.slow_sat_v * bias.sat_scale;
     step.slow_decay =
         relax_decay(params.slow_tau_stress_s / accel, dt.value());
-    // Permanent precursor generation + second-order locking. Generation
-    // carries its own (stronger) voltage acceleration, mirroring the full
-    // model's gen_v0.
-    step.gen_v_per_s =
-        params.gen_rate_ref_v_per_s *
-        arrhenius_acceleration(params.gen_ea, t,
-                               to_kelvin(params.stress_ref.temperature)) *
-        std::exp((v - params.stress_ref.gate_bias.value()) / params.gen_v0);
+    // Permanent precursor generation + second-order locking.
+    step.gen_v_per_s = params.gen_rate_ref_v_per_s * gen_af * bias.gen_accel_v;
     step.k_lock_per_v_s = params.k_lock_per_v_s;
     step.p_max_v = params.p_max_v;
     const double substeps = std::ceil(dt.value() / 300.0);
@@ -108,11 +137,6 @@ CompactBtiStep CompactBti::prepare(const CompactBtiParams& params,
     step.h = dt.value() / step.substeps;
   } else {
     step.kind = CompactBtiStep::Kind::kRecover;
-    const double af_t = arrhenius_acceleration(
-        params.kinetics_ea, t, to_kelvin(params.recover_ref.temperature));
-    const double v_ref = -params.recover_ref.gate_bias.value();
-    const double af_v = std::exp((std::max(-v, 0.0) - v_ref) / params.v0);
-    const double accel = af_t * af_v;
     step.fast_decay =
         relax_decay(params.fast_tau_recover_s / accel, dt.value());
     step.slow_decay =

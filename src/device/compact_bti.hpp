@@ -75,6 +75,16 @@ struct CompactBtiStep {
   double pl_decay = 1.0;
 };
 
+/// The factors of a step that depend on (params, gate bias) alone
+/// (`CompactBti::bias_factors`), so a caller whose biases are fixed
+/// computes them once.
+struct CompactBtiBias {
+  bool stress = false;       // the bias stresses (> 0 V)
+  double accel_v = 1.0;      // capture (stress) or emission voltage factor
+  double gen_accel_v = 1.0;  // stress: precursor-generation voltage factor
+  double sat_scale = 1.0;    // stress: pool saturation scale
+};
+
 class CompactBti {
  public:
   explicit CompactBti(CompactBtiParams params = {});
@@ -83,10 +93,25 @@ class CompactBti {
   void apply(const BtiCondition& condition, Seconds dt);
   void reset();
 
-  /// Coefficients of `apply(condition, dt)` for devices with `params`.
+  /// Coefficients of `apply(condition, dt)` for devices with `params`:
+  /// the (temperature, dt) part below applied to
+  /// `bias_factors(params, condition.gate_bias)` and the Arrhenius
+  /// factors at the condition's temperature.
   [[nodiscard]] static CompactBtiStep prepare(const CompactBtiParams& params,
                                               const BtiCondition& condition,
                                               Seconds dt);
+  /// The bias-only part of `prepare`.
+  [[nodiscard]] static CompactBtiBias bias_factors(
+      const CompactBtiParams& params, Volts gate_bias);
+  /// The (temperature, dt) part of `prepare`. `kinetics_af` is
+  /// `arrhenius_acceleration(params.kinetics_ea, T, ref)` with ref the
+  /// temperature of `stress_ref` under a stressing bias, else of
+  /// `recover_ref`; `gen_af` is the `gen_ea` factor against `stress_ref`,
+  /// read only under a stressing bias.
+  [[nodiscard]] static CompactBtiStep prepare(const CompactBtiParams& params,
+                                              const CompactBtiBias& bias,
+                                              double kinetics_af,
+                                              double gen_af, Seconds dt);
 
   /// Apply `steps[i]` to `devices[i]`, each step prepared from its
   /// device's params; the devices are distinct. Each device ends

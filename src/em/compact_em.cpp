@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 
@@ -55,19 +56,25 @@ void CompactEm::reset() {
   broken_ = false;
 }
 
-CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
-  const auto kelvin_bits = std::bit_cast<std::uint64_t>(t.value());
-  const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
-  for (StepCoeffs& c : memo_) {
-    if (c.dt_bits == dt_bits && c.kelvin_bits == kelvin_bits) return c;
-  }
-  StepCoeffs& c = memo_[memo_next_];
-  // Invalidate first, key last: a throw below (T <= 0 K) must not leave a
-  // valid key over half-written coefficients.
-  c.dt_bits = 0;
+namespace {
+
+void require_condition(double temperature, double dt) {
+  DH_REQUIRE(std::isfinite(temperature), "temperature must be finite");
+  DH_REQUIRE(std::isfinite(dt) && dt >= 0.0,
+             "time step must be finite and non-negative");
+}
+
+}  // namespace
+
+CompactEm::StepCoeffs CompactEm::prepare(Kelvin t, Seconds dt) const {
+  require_condition(t.value(), dt.value());
+  StepCoeffs c;
+  c.kelvin = t.value();
+  if (dt.value() == 0.0) return c;
+  c.dt_s = dt.value();
   const EmMaterialParams& m = params_.material;
   // The operation order of EmMaterialParams::kappa, driving_force and
-  // drift_velocity, with D(T) evaluated once.
+  // drift_velocity, with D(T) evaluated once. D(T) throws for T <= 0 K.
   const double d = m.diffusivity(t);
   c.kt_j = constants::kBoltzmannJ * t.value();
   const double kappa = d * m.bulk_modulus_pa * m.atomic_volume_m3 / c.kt_j;
@@ -82,22 +89,35 @@ CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
     c.decay[k] = std::exp(-dt.value() / tau);
   }
   c.dezr = d * constants::kElementaryCharge * m.z_eff * rho;
-  c.has_fix = false;
-  c.kelvin_bits = kelvin_bits;
-  c.dt_bits = dt_bits;
+  return c;
+}
+
+CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
+  const auto kelvin_bits = std::bit_cast<std::uint64_t>(t.value());
+  const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
+  for (StepCoeffs& c : memo_) {
+    if (std::bit_cast<std::uint64_t>(c.dt_s) == dt_bits &&
+        std::bit_cast<std::uint64_t>(c.kelvin) == kelvin_bits) {
+      return c;
+    }
+  }
+  // A throwing prepare (T <= 0 K) leaves the slot as it was.
+  StepCoeffs& c = memo_[memo_next_];
+  c = prepare(t, dt);
   memo_next_ ^= 1;
   return c;
 }
 
 void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
   DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
-  DH_REQUIRE(std::isfinite(temperature.value()),
-             "temperature must be finite");
-  DH_REQUIRE(std::isfinite(dt.value()) && dt.value() >= 0.0,
-             "time step must be finite and non-negative");
+  require_condition(temperature.value(), dt.value());
   if (dt.value() == 0.0 || broken_) return;
-  const Kelvin t = to_kelvin(temperature);
-  StepCoeffs& c = coeffs(t, dt);
+  step(j, coeffs(to_kelvin(temperature), dt));
+}
+
+void CompactEm::step(AmpsPerM2 j, StepCoeffs& c) {
+  DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
+  if (c.dt_s == 0.0 || broken_) return;
   const double g = c.ezr * j.value() / params_.material.atomic_volume_m3;
 
   // Pool targets follow the signed driving force; while a void is open the
@@ -126,10 +146,11 @@ void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
     // full efficiency (same physics as the PDE solver).
     void_mobile_m_ +=
         rate * (rate > 0.0 ? params_.material.slit_efficiency : 1.0) *
-        dt.value();
+        c.dt_s;
     if (!c.has_fix) {
       c.fix_fraction =
-          1.0 - std::exp(-params_.material.fix_rate(t) * dt.value());
+          1.0 - std::exp(-params_.material.fix_rate(Kelvin{c.kelvin}) *
+                         c.dt_s);
       c.has_fix = true;
     }
     const double converted = void_mobile_m_ * c.fix_fraction;

@@ -10,16 +10,17 @@
 // quantified by bench/ablation_compact_models.
 //
 // Every transcendental of a step depends only on (params, temperature,
-// dt), never on the current density or the state, so each instance keeps
-// them for its last two (temperature, dt) conditions: a periodic
-// forward/reverse recovery schedule, which alternates exactly two, then
-// pays for them once per condition instead of once per step. Results are
+// dt), never on the current density or the state. `prepare` computes them
+// once, and `step(j, coeffs)` applies them to any wire with the same
+// params: a PDN steps all its segments at one (T, dt) on one prepare.
+// `step(j, T, dt)` keeps them for its last two conditions, so a periodic
+// forward/reverse recovery schedule, which alternates exactly two, pays
+// for them once per condition instead of once per step. Results are
 // bit-identical to recomputing them (DESIGN.md §7).
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 
 #include "common/units.hpp"
 #include "em/material.hpp"
@@ -47,8 +48,33 @@ struct CompactEmParams {
 
 class CompactEm {
  public:
+  /// The j-independent factors of one step at (temperature, dt). Each is
+  /// a left prefix of the product it replaces, so applying j to it gives
+  /// the bits the unfactored formula gives.
+  struct StepCoeffs {
+    double kelvin = 0.0;
+    double dt_s = 0.0;  // 0: a step is a no-op, and nothing else is set
+    double ezr = 0.0;   // e*Z*rho(T): G = ezr*j/Omega
+    double sqrt_kappa = 0.0;
+    std::array<double, 3> decay{};  // exp(-dt/tau_k(T))
+    double dezr = 0.0;              // D(T)*e*Z*rho(T): v = dezr*j/kT
+    double kt_j = 0.0;
+    // 1 - exp(-fix(T)*dt), needed only while a void is open: the first
+    // step that needs it fills it in, so wires sharing the coefficients
+    // share it, and a condition with every void closed skips its two exps.
+    bool has_fix = false;
+    double fix_fraction = 0.0;
+  };
+
   explicit CompactEm(CompactEmParams params);
 
+  /// Coefficients of a step at (t, dt) for any wire with these params.
+  /// Throws for a non-finite t, t <= 0 K, or a negative or non-finite dt.
+  [[nodiscard]] StepCoeffs prepare(Kelvin t, Seconds dt) const;
+  /// Step at the condition `c` was prepared for; `c` must come from
+  /// `prepare` on a wire with equal params. Bit-identical to
+  /// `step(j, T, dt)`.
+  void step(AmpsPerM2 j, StepCoeffs& c);
   void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
   void reset();
 
@@ -80,24 +106,7 @@ class CompactEm {
   void load_state(ckpt::Deserializer& d);
 
  private:
-  /// The j-independent factors of one step at (temperature, dt). Each is
-  /// a left prefix of the product it replaces, so applying j to it gives
-  /// the bits the unfactored formula gives.
-  struct StepCoeffs {
-    // Key: the exact bits of (Kelvin, dt). dt_bits == 0 marks an empty
-    // slot, since a zero dt returns before the lookup.
-    std::uint64_t kelvin_bits = 0;
-    std::uint64_t dt_bits = 0;
-    double ezr = 0.0;  // e*Z*rho(T): G = ezr*j/Omega
-    double sqrt_kappa = 0.0;
-    std::array<double, 3> decay{};  // exp(-dt/tau_k(T))
-    double dezr = 0.0;              // D(T)*e*Z*rho(T): v = dezr*j/kT
-    double kt_j = 0.0;
-    // 1 - exp(-fix(T)*dt), needed only while a void is open: filled on
-    // first use, so a miss with the void closed skips its two exps.
-    bool has_fix = false;
-    double fix_fraction = 0.0;
-  };
+  /// The memoized `prepare(t, dt)`.
   StepCoeffs& coeffs(Kelvin t, Seconds dt);
 
   CompactEmParams params_;
@@ -110,7 +119,8 @@ class CompactEm {
   double void_mobile_m_ = 0.0;
   double void_fixed_m_ = 0.0;
   bool broken_ = false;
-  // Derived from params_ alone, so neither snapshotted nor reset.
+  // Derived from params_ alone, so neither snapshotted nor reset. A slot
+  // with dt_s == 0 is empty: a zero dt returns before the lookup.
   std::array<StepCoeffs, 2> memo_{};
   std::size_t memo_next_ = 0;  // round-robin victim
 };

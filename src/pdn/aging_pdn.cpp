@@ -43,6 +43,9 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
   const double blech_crit = material_.blech_threshold(rho);
   const double seg_len = grid_.params().segment_wire.length.value();
 
+  // Every segment shares one CompactEmParams, so one prepare serves them
+  // all; it runs at the first mortal segment, as each step's own would.
+  em::CompactEm::StepCoeffs coeffs;
   std::size_t stepped = 0;
   for (std::size_t s = 0; s < grid_.segment_count(); ++s) {
     double current = last_.segment_current[s];
@@ -52,7 +55,10 @@ void AgingPdn::step(std::span<const double> load_amps, Celsius temperature,
     const double blech = std::abs(j.value()) * seg_len;
     immortal_[s] = blech < blech_crit;
     if (immortal_[s] && !segment_em_[s].void_open()) continue;
-    segment_em_[s].step(j, temperature, dt);
+    if (stepped == 0) {
+      coeffs = segment_em_[s].prepare(to_kelvin(temperature), dt);
+    }
+    segment_em_[s].step(j, coeffs);
     ++stepped;
   }
   // Batched so the per-segment loop stays free of telemetry ops: one add

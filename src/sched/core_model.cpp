@@ -1,8 +1,11 @@
 #include "sched/core_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "common/arrhenius.hpp"
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 
@@ -21,37 +24,73 @@ const char* to_string(CoreAction a) {
 }
 
 Core::Core(CoreParams params)
-    : params_(params), bti_(params.bti), ro_(params.ro) {}
+    : params_(params),
+      bti_(params.bti),
+      ro_(params.ro),
+      run_bias_(device::CompactBti::bias_factors(params.bti, params.vdd)),
+      rest_bias_(device::CompactBti::bias_factors(params.bti, Volts{0.0})),
+      recovery_bias_(device::CompactBti::bias_factors(
+          params.bti, params.active_recovery_bias)),
+      shared_kinetics_(
+          std::bit_cast<std::uint64_t>(
+              params.bti.stress_ref.temperature.value()) ==
+          std::bit_cast<std::uint64_t>(
+              params.bti.recover_ref.temperature.value())) {}
 
 void Core::step(CoreAction action, double utilization, Celsius temperature,
                 Seconds dt) {
   step_all({this, 1}, {&action, 1}, {&utilization, 1}, {&temperature, 1}, dt);
 }
 
-device::CompactBtiStep Core::phase_step(int phase, CoreAction action,
-                                        double utilization,
-                                        Celsius temperature,
-                                        Seconds dt) const {
+void Core::quantum_steps(CoreAction action, double utilization,
+                         Celsius temperature, Seconds dt,
+                         device::CompactBtiStep& first,
+                         device::CompactBtiStep& second) const {
   using device::CompactBti;
+  using device::CompactBtiBias;
+  const device::CompactBtiParams& p = params_.bti;
+  const Kelvin t = to_kelvin(temperature);
+  // The kinetics Arrhenius factor against stress_ref (slot 0) and
+  // recover_ref (slot 1), each computed on first use; with bit-equal
+  // reference temperatures slot 0 serves both, and its value is the one
+  // slot 1 would hold.
+  double kinetics_af[2];
+  bool have_af[2] = {false, false};
+  const auto prepare = [&](const CompactBtiBias& bias, Seconds part) {
+    if (part.value() == 0.0) return device::CompactBtiStep{};
+    const std::size_t k = bias.stress || shared_kinetics_ ? 0 : 1;
+    if (!have_af[k]) {
+      const Celsius ref = k == 0 ? p.stress_ref.temperature
+                                 : p.recover_ref.temperature;
+      kinetics_af[k] = arrhenius_acceleration(p.kinetics_ea, t,
+                                              to_kelvin(ref));
+      have_af[k] = true;
+    }
+    const double gen_af =
+        bias.stress ? arrhenius_acceleration(
+                          p.gen_ea, t, to_kelvin(p.stress_ref.temperature))
+                    : 1.0;
+    return CompactBti::prepare(p, bias, kinetics_af[k], gen_af, part);
+  };
+  first = {};
+  second = {};
   switch (action) {
     case CoreAction::kRun: {
       // Devices see stress for the utilized fraction of the quantum and
       // passive recovery for the rest (signal-probability averaging).
-      const Seconds part{phase == 0 ? dt.value() * utilization
-                                    : dt.value() * (1.0 - utilization)};
-      if (!(part.value() > 0.0)) return {};
-      const Volts bias = phase == 0 ? params_.vdd : Volts{0.0};
-      return CompactBti::prepare(params_.bti, {bias, temperature}, part);
+      const Seconds stressed{dt.value() * utilization};
+      const Seconds relaxed{dt.value() * (1.0 - utilization)};
+      if (stressed.value() > 0.0) first = prepare(run_bias_, stressed);
+      if (relaxed.value() > 0.0) second = prepare(rest_bias_, relaxed);
+      return;
     }
     case CoreAction::kIdle:
-      if (phase != 0) return {};
-      return CompactBti::prepare(params_.bti, {Volts{0.0}, temperature}, dt);
+      first = prepare(rest_bias_, dt);
+      return;
     case CoreAction::kBtiActiveRecovery:
-      if (phase != 0) return {};
-      return CompactBti::prepare(
-          params_.bti, {params_.active_recovery_bias, temperature}, dt);
+      first = prepare(recovery_bias_, dt);
+      return;
   }
-  return {};
 }
 
 void Core::step_all(std::span<Core> cores, std::span<const CoreAction> actions,
@@ -69,18 +108,18 @@ void Core::step_all(std::span<Core> cores, std::span<const CoreAction> actions,
   // because a lone core (Core::step) would otherwise pay to initialise
   // all sixteen on every call.
   constexpr std::size_t kBlock = 16;
-  thread_local device::CompactBtiStep steps[kBlock];
+  thread_local device::CompactBtiStep steps[2][kBlock];
   device::CompactBti* devices[kBlock];
   for (std::size_t first = 0; first < cores.size(); first += kBlock) {
     const std::size_t n = std::min(kBlock, cores.size() - first);
-    for (std::size_t i = 0; i < n; ++i) devices[i] = &cores[first + i].bti_;
-    for (const int phase : {0, 1}) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t c = first + i;
-        steps[i] = cores[c].phase_step(phase, actions[c], utilization[c],
-                                       temperatures[c], dt);
-      }
-      device::CompactBti::advance(std::span{steps, n}, std::span{devices, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = first + i;
+      devices[i] = &cores[c].bti_;
+      cores[c].quantum_steps(actions[c], utilization[c], temperatures[c], dt,
+                             steps[0][i], steps[1][i]);
+    }
+    for (const auto& phase : steps) {
+      device::CompactBti::advance(std::span{phase, n}, std::span{devices, n});
     }
   }
 }
@@ -93,8 +132,14 @@ double Core::degradation() const {
   return ro_.degradation(bti_.delta_vth());
 }
 
-Watts Core::power(CoreAction action, double utilization,
-                  Celsius temperature) const {
+double Core::leakage(Celsius temperature) const {
+  const auto t_bits = std::bit_cast<std::uint64_t>(temperature.value());
+  const double dvth = bti_.delta_vth().value();
+  const auto dvth_bits = std::bit_cast<std::uint64_t>(dvth);
+  LeakMemo& m = leak_memo_;
+  if (m.valid && m.temperature_bits == t_bits && m.dvth_bits == dvth_bits) {
+    return m.leak_w;
+  }
   // Exponential leakage growth, capped: past ~2 e-folds real designs
   // throttle (and the exponential alone would make the thermal solve
   // diverge in pathological configurations).
@@ -102,10 +147,15 @@ Watts Core::power(CoreAction action, double utilization,
       8.0, std::exp((temperature.value() - params_.leakage_t_ref.value()) /
                     params_.leakage_t_efold_k));
   // BTI raises Vth, which suppresses subthreshold leakage slightly.
-  const double vth_scale =
-      std::exp(-bti_.delta_vth().value() / 0.050);
-  const double leak =
-      params_.leakage_ref.value() * leak_scale * vth_scale;
+  const double vth_scale = std::exp(-dvth / 0.050);
+  m = {true, t_bits, dvth_bits,
+       params_.leakage_ref.value() * leak_scale * vth_scale};
+  return m.leak_w;
+}
+
+Watts Core::power(CoreAction action, double utilization,
+                  Celsius temperature) const {
+  const double leak = leakage(temperature);
   switch (action) {
     case CoreAction::kRun:
       return Watts{params_.dynamic_power_peak.value() * utilization + leak};

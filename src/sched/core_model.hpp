@@ -3,6 +3,7 @@
 // PDN.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "common/units.hpp"
@@ -66,7 +67,10 @@ class Core {
   /// Fractional frequency degradation vs fresh (the guardband driver).
   [[nodiscard]] double degradation() const;
 
-  /// Power drawn under the given action/utilization/temperature.
+  /// Power drawn under the given action/utilization/temperature. The
+  /// leakage factor is memoized on the exact bits of (temperature, ΔVth),
+  /// so `power` and `supply_current` are not reentrant per Core: threads
+  /// sharing one Core must not call them concurrently.
   [[nodiscard]] Watts power(CoreAction action, double utilization,
                             Celsius temperature) const;
   /// Supply current corresponding to `power`.
@@ -81,17 +85,36 @@ class Core {
   void load_state(ckpt::Deserializer& d);
 
  private:
-  /// The BTI step of phase `phase` of this core's quantum: 0 is the
-  /// stressed part of a run, or all of an idle or recovery quantum; 1 is
+  /// The two BTI steps of this core's quantum: `first` is the stressed
+  /// part of a run, or all of an idle or recovery quantum; `second` is
   /// the relaxed part of a run.
-  [[nodiscard]] device::CompactBtiStep phase_step(int phase, CoreAction action,
-                                                  double utilization,
-                                                  Celsius temperature,
-                                                  Seconds dt) const;
+  void quantum_steps(CoreAction action, double utilization,
+                     Celsius temperature, Seconds dt,
+                     device::CompactBtiStep& first,
+                     device::CompactBtiStep& second) const;
+  /// Leakage power at `temperature` and the present ΔVth.
+  [[nodiscard]] double leakage(Celsius temperature) const;
 
   CoreParams params_;
   device::CompactBti bti_;
   device::RingOscillator ro_;
+  // The bias factors of the three gate biases a core applies: vdd while
+  // running, 0 V while relaxed or idle, and the active-recovery bias.
+  device::CompactBtiBias run_bias_;
+  device::CompactBtiBias rest_bias_;
+  device::CompactBtiBias recovery_bias_;
+  // The stress and recovery reference temperatures are bit-equal, so one
+  // kinetics Arrhenius factor serves both.
+  bool shared_kinetics_ = false;
+  // One-entry leakage memo. A quantum's `power` call sees the temperature
+  // and ΔVth of the previous quantum's `supply_current` call.
+  struct LeakMemo {
+    bool valid = false;
+    std::uint64_t temperature_bits = 0;
+    std::uint64_t dvth_bits = 0;
+    double leak_w = 0.0;
+  };
+  mutable LeakMemo leak_memo_;
 };
 
 }  // namespace dh::sched

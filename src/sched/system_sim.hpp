@@ -141,6 +141,14 @@ class SystemSimulator {
   /// comes back non-finite or beyond kSensorSaneLimitV (a broken sensor,
   /// or noise far outside the sensor's range).
   std::vector<double> last_good_sensor_;
+  // Per-quantum scratch of step(), one entry per core: sized once here
+  // rather than allocated every quantum. Not part of the state.
+  std::vector<double> demand_;
+  std::vector<CoreObservation> obs_;
+  std::vector<double> util_;
+  std::vector<double> power_;
+  std::vector<Celsius> temps_;
+  std::vector<double> loads_;
   TimeSeries degradation_trace_{"max_degradation", "frac"};
   TimeSeries ir_drop_trace_{"worst_ir_drop", "V"};
   TimeSeries temperature_trace_{"max_temp", "C"};

@@ -10,6 +10,7 @@
 #include <limits>
 #include <numbers>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "em/em_sensor.hpp"
@@ -311,6 +312,54 @@ TEST(CompactEm, MemoizedStepMatchesUnmemoizedOracle) {
   }
   EXPECT_TRUE(oracle.broken);
   EXPECT_GT(steps, 40);
+}
+
+TEST(CompactEm, SharedPreparedStepMatchesOracle) {
+  // A PDN's segments share one prepare per quantum. Four wires with
+  // different j take the same coefficients at a temperature that moves
+  // every quantum, each checked against its own unmemoized oracle.
+  const CompactEmParams p{.wire = paper_wire(),
+                          .material = paper_calibrated_em_material()};
+  const AmpsPerM2 fwd = paper_em_conditions::stress_density();
+  const AmpsPerM2 rev = paper_em_conditions::reverse_density();
+  // 0: forward, 1: reverse, 2: below the Blech threshold, 3: opened by
+  // forward current, healed shut by reverse, then broken by forward.
+  std::vector<CompactEm> wires(4, CompactEm{p});
+  std::vector<OracleEm> oracles(4, OracleEm{p});
+  enum class Phase { kOpen, kHeal, kBreak } phase = Phase::kOpen;
+  const Seconds dt = minutes(30.0);
+  bool shared_fix = false, threw = false;
+  for (int q = 0; q < 400 && !oracles[3].broken; ++q) {
+    const Celsius t{226.0 + (q * 3) % 10};  // never the previous quantum's
+    const std::array<AmpsPerM2, 4> j = {
+        fwd, rev, mega_amps_per_cm2(1.5), phase == Phase::kHeal ? rev : fwd};
+    if (q == 12) {
+      // Below 0 K: the prepare throws and no wire moves.
+      EXPECT_THROW((void)wires[0].prepare(Kelvin{-1.0}, dt), Error);
+      for (std::size_t w = 0; w < wires.size(); ++w) {
+        oracles[w].expect_matches(wires[w]);
+      }
+      threw = true;
+    }
+    CompactEm::StepCoeffs c = wires[0].prepare(to_kelvin(t), dt);
+    for (std::size_t w = 0; w < wires.size(); ++w) {
+      // A fix fraction already filled this quantum, read by an open void.
+      shared_fix = shared_fix || (c.has_fix && wires[w].void_open());
+      wires[w].step(j[w], c);
+      oracles[w].step(j[w], t, dt);
+      oracles[w].expect_matches(wires[w]);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "wire " << w << " quantum " << q;
+    }
+    if (phase == Phase::kOpen && oracles[3].void_open) phase = Phase::kHeal;
+    if (phase == Phase::kHeal && !oracles[3].void_open) phase = Phase::kBreak;
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(shared_fix);
+  EXPECT_EQ(phase, Phase::kBreak);
+  EXPECT_TRUE(oracles[3].broken);
+  EXPECT_TRUE(oracles[1].void_open || oracles[1].broken);
+  EXPECT_FALSE(oracles[2].void_open);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -136,10 +137,18 @@ TEST(CoreModel, StepAllMatchesPerCoreStepBitForBit) {
   CoreParams hot;
   hot.vdd = Volts{1.0};
   hot.bti.gen_rate_ref_v_per_s = 9e-7;
+  // Stress and recovery kinetics referenced to different temperatures,
+  // so a running core's two phases need two Arrhenius factors, and a
+  // non-default recovery bias.
+  CoreParams skewed;
+  skewed.bti.stress_ref.temperature = Celsius{125.0};
+  skewed.active_recovery_bias = Volts{-0.45};
   Rng rng{1207};
   std::vector<Core> batched;
   for (std::size_t i = 0; i < 37; ++i) {
-    batched.emplace_back(i % 3 == 0 ? hot : CoreParams{});
+    batched.emplace_back(i % 3 == 0   ? hot
+                         : i % 3 == 1 ? skewed
+                                      : CoreParams{});
   }
   std::vector<Core> reference = batched;
   std::vector<device::CompactBti> oracle;
@@ -176,6 +185,51 @@ TEST(CoreModel, StepAllMatchesPerCoreStepBitForBit) {
     }
   }
   EXPECT_GT(batched[0].bti_breakdown().locked.value(), 0.0);
+}
+
+TEST(CoreModel, PowerTracksTemperatureAndAging) {
+  // power and supply_current memoize the leakage factor. After each event
+  // below they must equal a fresh core's, restored from the same snapshot.
+  const CoreAction actions[] = {CoreAction::kRun, CoreAction::kIdle,
+                                CoreAction::kBtiActiveRecovery};
+  const auto snapshot = [](const Core& c) {
+    ckpt::Serializer s;
+    c.save_state(s);
+    return s.take();
+  };
+  const auto expect_fresh_power = [&](const Core& c, Celsius t,
+                                      const char* event) {
+    Core fresh = make_core();
+    ckpt::Deserializer d{snapshot(c)};
+    fresh.load_state(d);
+    for (const CoreAction a : actions) {
+      EXPECT_EQ(c.power(a, 0.7, t).value(), fresh.power(a, 0.7, t).value())
+          << event;
+      EXPECT_EQ(c.supply_current(a, 0.7, t).value(),
+                fresh.supply_current(a, 0.7, t).value())
+          << event;
+    }
+  };
+  Core c = make_core();
+  const Celsius warm{70.0};
+  const double fresh_power = c.power(CoreAction::kRun, 0.7, warm).value();
+  // Aging at the same temperature: the memo's temperature still matches.
+  c.step(CoreAction::kRun, 0.9, warm, days(30.0));
+  ASSERT_GT(c.delta_vth().value(), 0.0);
+  EXPECT_LT(c.power(CoreAction::kRun, 0.7, warm).value(), fresh_power);
+  expect_fresh_power(c, warm, "step at the same temperature");
+  // A new temperature at the same ΔVth.
+  const Celsius hot{95.0};
+  expect_fresh_power(c, hot, "temperature change");
+  // Another core's state, read at the temperature last asked for.
+  Core other = make_core();
+  other.step(CoreAction::kRun, 0.4, Celsius{110.0}, days(90.0));
+  ckpt::Deserializer d{snapshot(other)};
+  c.load_state(d);
+  ASSERT_NE(c.delta_vth().value(), 0.0);
+  expect_fresh_power(c, hot, "load_state from another core");
+  EXPECT_EQ(c.power(CoreAction::kRun, 0.7, hot).value(),
+            other.power(CoreAction::kRun, 0.7, hot).value());
 }
 
 TEST(CoreModel, StepAllRejectsBadUtilizationBeforeMovingAnyCore) {
