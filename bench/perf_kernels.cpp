@@ -1,27 +1,15 @@
 // Google-benchmark microbenchmarks of the numerical kernels, so solver
-// performance regressions are caught alongside the physics.
-//
-// Before the google-benchmark suite runs, a wall-clock section times the
-// parallel-execution layer (serial vs pool) and writes the numbers to
-// BENCH_parallel.json (routed through obs::json_output_path, so
-// DH_BENCH_DIR controls where results land), so future PRs can track the
-// throughput trajectory machine-readably. A second section prices the
-// observability layer's record calls into BENCH_obs_kernels.json.
+// performance regressions are caught alongside the physics. For
+// machine-readable results use google-benchmark's own output:
+//   perf_kernels --benchmark_out=k.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "circuit/assist.hpp"
-#include "common/obs/bench_io.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 #include "device/compact_bti.hpp"
@@ -210,7 +198,7 @@ BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);
 // (grid sides 8..64). Dense is the from-scratch LU reference
 // (solve_uncached); sparse is a fresh banded solve — assembly +
 // factorization + solve — so the comparison is end-to-end, not
-// back-substitution vs LU. The 64x64 dense case takes tens of seconds
+// back-substitution vs LU. The 64x64 dense case takes about a second
 // per iteration; filter with --benchmark_filter if that matters.
 void BM_PdnDenseSolve(benchmark::State& state) {
   pdn::PdnParams p;
@@ -251,6 +239,42 @@ void BM_ParallelForOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForOverhead);
 
+void BM_SramScanHealth(benchmark::State& state) {
+  // Per-cell butterfly solves of a 96-cell aged array over the global
+  // pool: DH_THREADS=1 vs =2 compares the serial and pooled scans.
+  sram::SramArrayParams p;
+  p.cells = 96;
+  sram::SramArray array{p};
+  array.step(Celsius{85.0}, hours(1000.0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(array.scan_health());
+  }
+  state.counters["threads"] = static_cast<double>(global_thread_count());
+}
+BENCHMARK(BM_SramScanHealth)->Unit(benchmark::kMillisecond);
+
+// The per-call cost of the observability layer's record calls, which
+// every instrumented hot path carries.
+void BM_CounterAdd(benchmark::State& state) {
+  obs::Counter& counter = obs::registry().counter("bench.obs.counter");
+  for (auto _ : state) {
+    counter.add();
+  }
+  benchmark::DoNotOptimize(counter.value());
+}
+BENCHMARK(BM_CounterAdd);
+
+void BM_HistogramObserve(benchmark::State& state) {
+  obs::Histogram& hist = obs::registry().histogram("bench.obs.hist", "ms");
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hist.observe(static_cast<double>(i & 1023) + 0.5);
+    ++i;
+  }
+  benchmark::DoNotOptimize(hist.count());
+}
+BENCHMARK(BM_HistogramObserve);
+
 void BM_AssistDcSolve(benchmark::State& state) {
   circuit::AssistCircuit assist{circuit::AssistCircuitParams{}};
   for (auto _ : state) {
@@ -271,229 +295,6 @@ void BM_SystemSimStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SystemSimStep)->Arg(2)->Arg(4)->Arg(8);
 
-double wall_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// EM wire-population kernel shared by the serial/parallel timing below —
-// a scaled-down bench/em_population_ttf inner loop.
-double em_population_wire(std::size_t i) {
-  using namespace dh::em;
-  Rng r = Rng::stream(2026, i);
-  EmMaterialParams m = paper_calibrated_em_material();
-  m.d0_m2_per_s *= r.lognormal(0.0, 0.25);
-  m.critical_stress =
-      Pascals{m.critical_stress.value() * r.lognormal(0.0, 0.10)};
-  CompactEm em{CompactEmParams{.wire = paper_wire(), .material = m}};
-  const Celsius t = paper_em_conditions::chamber();
-  double elapsed = 0.0;
-  const double horizon = hours(120.0).value();
-  while (!em.broken() && elapsed < horizon) {
-    em.step(paper_em_conditions::stress_density(), t, minutes(60.0));
-    elapsed += minutes(60.0).value();
-  }
-  return em.broken() ? elapsed : horizon;
-}
-
-/// Times the parallel layer, writes BENCH_parallel.json. Runs before the google-benchmark suite so the
-/// file is emitted even under a --benchmark_filter that excludes all.
-void write_parallel_json() {
-  const std::size_t threads = global_thread_count();
-
-  // 1. EM Monte-Carlo population: serial loop vs pool.
-  constexpr std::size_t kWires = 64;
-  std::vector<double> serial_ttf(kWires);
-  const double em_serial_ms = wall_ms([&] {
-    for (std::size_t i = 0; i < kWires; ++i) {
-      serial_ttf[i] = em_population_wire(i);
-    }
-  });
-  std::vector<double> parallel_ttf;
-  const double em_parallel_ms = wall_ms([&] {
-    parallel_ttf = parallel_map(kWires, em_population_wire);
-  });
-  const bool em_identical = serial_ttf == parallel_ttf;
-
-  // 2. SRAM array health scan: per-cell butterfly solves over the pool.
-  sram::SramArrayParams sp;
-  sp.cells = 96;
-  sram::SramArray array{sp};
-  array.step(Celsius{85.0}, hours(1000.0));
-  sram::SramArrayHealth serial_h, parallel_h;
-  // Route the serial scan through a single-thread global pool.
-  set_global_thread_count(1);
-  const double sram_serial_ms =
-      wall_ms([&] { serial_h = array.scan_health(); });
-  set_global_thread_count(threads);
-  const double sram_parallel_ms =
-      wall_ms([&] { parallel_h = array.scan_health(); });
-  const bool sram_identical =
-      serial_h.worst_snm.value() == parallel_h.worst_snm.value() &&
-      serial_h.mean_snm.value() == parallel_h.mean_snm.value();
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"threads\": " << threads << ",\n";
-  json << "  \"em_population\": {\"wires\": " << kWires
-       << ", \"serial_ms\": " << em_serial_ms
-       << ", \"parallel_ms\": " << em_parallel_ms << ", \"speedup\": "
-       << (em_parallel_ms > 0.0 ? em_serial_ms / em_parallel_ms : 0.0)
-       << ", \"bit_identical\": " << (em_identical ? "true" : "false")
-       << "},\n";
-  json << "  \"sram_scan\": {\"cells\": " << sp.cells
-       << ", \"serial_ms\": " << sram_serial_ms
-       << ", \"parallel_ms\": " << sram_parallel_ms << ", \"speedup\": "
-       << (sram_parallel_ms > 0.0 ? sram_serial_ms / sram_parallel_ms
-                                  : 0.0)
-       << ", \"bit_identical\": " << (sram_identical ? "true" : "false")
-       << "}\n";
-  json << "}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_parallel.json"),
-                         json.str());
-  std::printf(
-      "BENCH_parallel.json written: %zu thread(s); em %.0f/%.0f ms, "
-      "sram %.0f/%.0f ms\n",
-      threads, em_serial_ms, em_parallel_ms, sram_serial_ms,
-      sram_parallel_ms);
-}
-
-/// Prices the observability layer's record calls (counter add, histogram
-/// observe), writing BENCH_obs_kernels.json, so a regression in the
-/// instrumentation every hot path carries shows up per call.
-void write_obs_kernels_json() {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::size_t kOps = 2'000'000;
-  obs::Counter& counter = obs::registry().counter("bench.obs.counter");
-  obs::Histogram& hist =
-      obs::registry().histogram("bench.obs.hist", "ms");
-
-  const auto time_ns_per_op = [&](const std::function<void()>& body) {
-    const auto t0 = Clock::now();
-    body();
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-               .count() /
-           static_cast<double>(kOps);
-  };
-  const double counter_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) counter.add();
-  });
-  const double hist_ns = time_ns_per_op([&] {
-    for (std::size_t i = 0; i < kOps; ++i) {
-      hist.observe(static_cast<double>(i & 1023) + 0.5);
-    }
-  });
-
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"record_ns_per_op\": {\"counter\": " << counter_ns
-       << ", \"histogram\": " << hist_ns << "}\n";
-  json << "}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_obs_kernels.json"),
-                         json.str());
-  std::printf(
-      "BENCH_obs_kernels.json written: counter %.1f ns, histogram %.1f ns\n",
-      counter_ns, hist_ns);
-}
-
-/// Dense-LU vs banded-solve scaling curve for the PDN IR solve at
-/// n in {64, 256, 1024, 4096} nodes, written to BENCH_sparse.json. Each
-/// row times: the from-scratch dense reference (solve_uncached), a cold
-/// sparse solve (fresh grid: band assembly + factorization + solve), and
-/// a warm sparse solve (the same work on a grid that has solved before,
-/// under slow EM drift). The acceptance bar is the 64x64 row: cold sparse
-/// must beat dense by >= 10x.
-void write_sparse_json() {
-  struct Row {
-    std::size_t side = 0;
-    std::size_t nodes = 0;
-    double dense_ms = 0.0;
-    double sparse_cold_ms = 0.0;
-    double sparse_warm_ms = 0.0;
-    double speedup_cold = 0.0;
-  };
-  std::vector<Row> rows;
-  for (const std::size_t side : {8ul, 16ul, 32ul, 64ul}) {
-    Row row;
-    row.side = side;
-    row.nodes = side * side;
-    pdn::PdnParams p;
-    p.rows = p.cols = side;
-    pdn::PdnGrid grid{p};
-    const std::vector<double> loads(grid.node_count(), 0.002);
-    const auto r = grid.fresh_segment_resistances(Celsius{85.0});
-
-    // Repetition counts sized so small grids get a measurable window
-    // while the O(n^3) dense solve at n = 4096 runs exactly once.
-    const int dense_reps = side <= 8 ? 50 : side <= 16 ? 10 : side <= 32 ? 2 : 1;
-    row.dense_ms = wall_ms([&] {
-                     for (int i = 0; i < dense_reps; ++i) {
-                       benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
-                     }
-                   }) /
-                   dense_reps;
-
-    const int sparse_reps = side <= 32 ? 20 : 5;
-    row.sparse_cold_ms = wall_ms([&] {
-                           for (int i = 0; i < sparse_reps; ++i) {
-                             pdn::PdnGrid cold{p};
-                             benchmark::DoNotOptimize(cold.solve(loads, r));
-                           }
-                         }) /
-                         sparse_reps;
-
-    auto drift_r = r;
-    (void)grid.solve(loads, drift_r);  // warm up
-    constexpr int kWarmReps = 50;
-    row.sparse_warm_ms = wall_ms([&] {
-                           for (int i = 0; i < kWarmReps; ++i) {
-                             for (double& x : drift_r) x *= 1.0 + 1e-5;
-                             benchmark::DoNotOptimize(
-                                 grid.solve(loads, drift_r));
-                           }
-                         }) /
-                         kWarmReps;
-    row.speedup_cold =
-        row.sparse_cold_ms > 0.0 ? row.dense_ms / row.sparse_cold_ms : 0.0;
-    rows.push_back(row);
-  }
-
-  std::ostringstream json;
-  json << "{\n  \"pdn_solve_scaling\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    json << "    {\"grid\": \"" << row.side << "x" << row.side
-         << "\", \"nodes\": " << row.nodes
-         << ", \"dense_ms\": " << row.dense_ms
-         << ", \"sparse_cold_ms\": " << row.sparse_cold_ms
-         << ", \"sparse_warm_ms\": " << row.sparse_warm_ms
-         << ", \"speedup_cold\": " << row.speedup_cold << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  obs::write_file_atomic(obs::json_output_path("BENCH_sparse.json"),
-                         json.str());
-  for (const Row& row : rows) {
-    std::printf(
-        "BENCH_sparse %2zux%-2zu (%4zu nodes): dense %9.3f ms, "
-        "sparse cold %7.3f ms (%.0fx), warm %7.3f ms\n",
-        row.side, row.side, row.nodes, row.dense_ms, row.sparse_cold_ms,
-        row.speedup_cold, row.sparse_warm_ms);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  write_parallel_json();
-  write_obs_kernels_json();
-  write_sparse_json();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,35 +7,6 @@
 
 namespace dh::obs {
 
-namespace detail {
-
-namespace {
-// Constant-initialised so the hot-path TLS read needs no init guard.
-constinit thread_local std::size_t t_shard = SIZE_MAX;
-}  // namespace
-
-std::size_t thread_shard() noexcept {
-  std::size_t idx = t_shard;
-  if (idx == SIZE_MAX) {
-    static std::atomic<std::size_t> next{0};
-    idx = next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    t_shard = idx;
-  }
-  return idx;
-}
-
-}  // namespace detail
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-  return sum;
-}
-
-void Counter::reset() noexcept {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
 std::size_t Histogram::bucket_index(double v) noexcept {
   if (!(v > 0.0) || !std::isfinite(v)) return 0;  // underflow/zero/NaN bin
   int exp = 0;

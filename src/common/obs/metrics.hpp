@@ -6,12 +6,12 @@
 //   1. Observation only — recording a metric must never change simulation
 //      results.
 //   2. Thread-safe and TSan-clean without locks on the record path:
-//      counters are sharded per thread (padded atomics, exact under
-//      concurrency), histograms use fixed log-spaced buckets with atomic
-//      integer counts, so merges/sums are order-independent — the same
-//      snapshot comes out at any DH_THREADS value.
-//   3. Low cost: a counter add is one relaxed atomic op; perf_kernels
-//      times each record call into BENCH_obs_kernels.json.
+//      a counter is one atomic (exact under concurrency), histograms use
+//      fixed log-spaced buckets with atomic integer counts, so sums are
+//      order-independent — the same snapshot comes out at any DH_THREADS
+//      value.
+//   3. Low cost: a counter add is one relaxed atomic op; perf_kernels'
+//      BM_CounterAdd and BM_HistogramObserve time each record call.
 //
 // Call sites cache the metric reference in a function-local static so the
 // registry's name lookup (mutex-guarded) happens once per process:
@@ -32,33 +32,26 @@
 
 namespace dh::obs {
 
-namespace detail {
-/// Stable small index for the calling thread, used to pick a counter
-/// shard. Threads are assigned round-robin on first use.
-[[nodiscard]] std::size_t thread_shard() noexcept;
-inline constexpr std::size_t kShards = 16;
-}  // namespace detail
-
-/// Monotonic event count. Sharded per thread: concurrent add() calls from
-/// the pool are exact (no lost updates) and never contend on one line.
+/// Monotonic event count: one relaxed atomic, so concurrent add() calls
+/// from the pool are exact (no lost updates). Call sites add at most once
+/// per quantum, pool job or worker, so the line is never hot enough to
+/// need sharding.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    shards_[detail::thread_shard()].v.fetch_add(n,
-                                                std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Sum over shards. Exact once concurrent writers have finished.
-  [[nodiscard]] std::uint64_t value() const noexcept;
+  /// Exact once concurrent writers have finished.
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
 
   /// Test/bench helper; not safe against concurrent add().
-  void reset() noexcept;
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Shard, detail::kShards> shards_{};
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Distribution of positive values on fixed log-spaced buckets

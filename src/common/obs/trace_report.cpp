@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <optional>
@@ -113,13 +113,11 @@ class LineParser {
             s_[pos_] == 'e' || s_[pos_] == 'E')) {
       ++pos_;
     }
-    if (pos_ == start) return false;
-    try {
-      out = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    return true;
+    // The whole token must be one finite number: "1e" or "1-2" is not 1,
+    // and "1e999" is out of range.
+    const char* last = s_.data() + pos_;
+    const auto [end, ec] = std::from_chars(s_.data() + start, last, out);
+    return ec == std::errc{} && end == last;
   }
   bool parse_field_object(
       std::vector<std::pair<std::string, double>>& out) {

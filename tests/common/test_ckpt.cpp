@@ -144,6 +144,39 @@ TEST_F(CkptTest, OverwriteReplacesAtomically) {
             (std::vector<std::uint8_t>{2, 2}));
 }
 
+TEST_F(CkptTest, BlockedTempFileKeepsPublishedSnapshot) {
+  const std::string p = path("blocked.dhck");
+  write_snapshot(p, "unit_test", {1, 1, 1});
+  fs::create_directory(p + ".tmp");  // the temp file's open must fail
+  try {
+    write_snapshot(p, "unit_test", {2, 2});
+    FAIL() << "expected dh::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(p), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(read_snapshot(p, "unit_test"),
+            (std::vector<std::uint8_t>{1, 1, 1}));
+}
+
+TEST_F(CkptTest, RenameOverDirectoryRemovesTempFile) {
+  // The target is a non-empty directory: the temp file is written, the
+  // rename over the target fails, and the temp file must go.
+  const std::string p = path("dir.dhck");
+  fs::create_directory(p);
+  const std::string published = (fs::path(p) / "published.dhck").string();
+  write_snapshot(published, "unit_test", {1, 1, 1});
+  try {
+    write_snapshot(p, "unit_test", {2, 2});
+    FAIL() << "expected dh::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(p), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(fs::exists(p + ".tmp"));
+  EXPECT_TRUE(fs::is_directory(p));
+  EXPECT_EQ(read_snapshot(published, "unit_test"),
+            (std::vector<std::uint8_t>{1, 1, 1}));
+}
+
 TEST_F(CkptTest, MissingFileRejectedWithPath) {
   const std::string p = path("nope.dhck");
   try {

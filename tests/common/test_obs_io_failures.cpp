@@ -1,17 +1,13 @@
 // The telemetry I/O paths under real failures: a trace sink on a full
-// device, and bench artifacts whose temp file or target path is taken by
-// a directory. Each must end in a dh::Error naming the path, never a crash
-// or a clobbered artifact.
+// device must end in a dh::Error naming the path, never a crash or a
+// silently lost event.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
-#include "common/obs/bench_io.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 #include "sched/system_sim.hpp"
@@ -23,29 +19,9 @@ namespace fs = std::filesystem;
 
 constexpr const char* kFullDevice = "/dev/full";  // every write: ENOSPC
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
 class ObsIoFailureTest : public testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::path(testing::TempDir()) /
-           ("dh_obs_io_" + std::string(testing::UnitTest::GetInstance()
-                                           ->current_test_info()
-                                           ->name()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    obs::set_trace_sink(nullptr);
-    fs::remove_all(dir_);
-  }
-
-  fs::path dir_;
+  void TearDown() override { obs::set_trace_sink(nullptr); }
 };
 
 TEST_F(ObsIoFailureTest, TraceSinkOnFullDeviceThrowsAndCountsDrop) {
@@ -87,41 +63,6 @@ TEST_F(ObsIoFailureTest, SimulatorRunFailsLoudlyOnFullTraceDevice) {
   // One sim/quantum event per 6 h quantum: a year overflows the buffer
   // many times over.
   EXPECT_THROW(sim.run(days(365.0)), Error);
-}
-
-TEST_F(ObsIoFailureTest, BenchWriteWithBlockedTempFileKeepsPublishedFile) {
-  const fs::path path = dir_ / "BENCH_x.json";
-  obs::write_file_atomic(path.string(), "{\"v\": 1}\n");
-  fs::create_directory(path.string() + ".tmp");  // the open must fail
-
-  try {
-    obs::write_file_atomic(path.string(), "{\"v\": 2}\n");
-    FAIL() << "expected dh::Error";
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find(path.string()), std::string::npos)
-        << err.what();
-  }
-  EXPECT_EQ(read_file(path), "{\"v\": 1}\n");
-}
-
-TEST_F(ObsIoFailureTest, BenchWriteOverDirectoryRemovesTempFile) {
-  // The target itself is a non-empty directory: the temp file is written,
-  // then the rename over the target fails and the temp file must go.
-  const fs::path path = dir_ / "BENCH_x.json";
-  fs::create_directory(path);
-  const fs::path published = path / "published.json";
-  obs::write_file_atomic(published.string(), "{\"v\": 1}\n");
-
-  try {
-    obs::write_file_atomic(path.string(), "{\"v\": 2}\n");
-    FAIL() << "expected dh::Error";
-  } catch (const Error& err) {
-    EXPECT_NE(std::string(err.what()).find(path.string()), std::string::npos)
-        << err.what();
-  }
-  EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
-  EXPECT_TRUE(fs::is_directory(path));
-  EXPECT_EQ(read_file(published), "{\"v\": 1}\n");
 }
 
 }  // namespace

@@ -2,16 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <array>
+#include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "common/error.hpp"
-#include "common/obs/bench_io.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sched/policy.hpp"
 #include "sched/system_sim.hpp"
@@ -104,44 +106,226 @@ TEST(ObsTraceReport, PrintedReportNamesTheRecoveryQuanta) {
   EXPECT_NE(os.str().find("recovery_quanta = 1"), std::string::npos);
 }
 
-class ObsBenchDirTest : public testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("DH_BENCH_DIR");
-    if (prev != nullptr) prev_ = prev;
+TEST(ObsTraceReport, NumberWithTrailingGarbageIsMalformed) {
+  // Regression for seed 24 of the mutation test below, which replaced a
+  // t_sim_s value with "1e": a token that only starts with a number was
+  // read as that number, so a corrupted record passed as a good one.
+  std::istringstream in(
+      "{\"cat\":\"sim\",\"name\":\"quantum\",\"t_wall_ms\":7.5,"
+      "\"t_sim_s\":1e,\"f\":{\"em_recovery\":1}}\n"
+      "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":1-2}\n"
+      "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":1,\"f\":{\"v\":1.2.3}}\n"
+      "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":2,\"f\":{\"v\":-0.5e1}}\n");
+  const obs::TraceReport report = obs::analyze_trace(in);
+  EXPECT_EQ(report.malformed_lines, 3u);
+  EXPECT_EQ(report.total_events, 1u);
+  EXPECT_EQ(report.sim_quanta, 0u);
+  EXPECT_DOUBLE_EQ(report.groups.at("a/x").fields.at("v").max, -5.0);
+}
+
+// Forwards to a JSONL sink with each t_wall_ms replaced by half the event
+// index, so the recorded trace, and every mutation of it, is the same on
+// every run.
+class IndexClockSink : public obs::TraceSink {
+ public:
+  explicit IndexClockSink(const std::string& path) : out_(path) {}
+  void write(const obs::TraceEvent& event) override {
+    obs::TraceEvent e = event;
+    e.wall_ms = 0.5 * static_cast<double>(n_++);
+    out_.write(e);
   }
-  void TearDown() override {
-    if (prev_.empty()) {
-      ::unsetenv("DH_BENCH_DIR");
-    } else {
-      ::setenv("DH_BENCH_DIR", prev_.c_str(), 1);
+  void flush() override { out_.flush(); }
+
+ private:
+  obs::JsonlTraceSink out_;
+  std::size_t n_ = 0;
+};
+
+// The trace of a short traced simulator run (2x2 chip, 12 quanta).
+std::string record_short_trace() {
+  const std::string path = testing::TempDir() + "dh_obs_report_fuzz.jsonl";
+  obs::set_trace_sink(std::make_unique<IndexClockSink>(path));
+  sched::SystemParams params;
+  params.rows = params.cols = 2;
+  sched::SystemSimulator sim{params, sched::make_periodic_active_policy()};
+  for (int i = 0; i < 12; ++i) sim.step();
+  obs::set_trace_sink(nullptr);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Byte classes of a trace line, so flips and truncations land on each:
+// structure, number, name, line end.
+enum ByteClass : std::size_t {
+  kStructure,
+  kNumber,
+  kName,
+  kLineEnd,
+  kClasses
+};
+
+ByteClass classify(char c) {
+  if (c == '\n') return kLineEnd;
+  if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.') {
+    return kNumber;
+  }
+  if (c == '{' || c == '}' || c == '"' || c == ',' || c == ':') {
+    return kStructure;
+  }
+  return kName;
+}
+
+// One seeded mutation of a trace. For a number replaced by a special
+// token, `malformed` is the count the report must give: 0 when the token
+// is itself a finite JSON number, else 1.
+struct Mutation {
+  std::string text;
+  std::optional<std::size_t> malformed;
+};
+
+// `seed % 5` picks the kind of mutation.
+Mutation mutate_trace(const std::string& base, std::uint64_t seed) {
+  Rng rng = Rng::stream(0x7ACE, seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(n) - 1));
+  };
+  std::array<std::vector<std::size_t>, kClasses> at;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    at[classify(base[i])].push_back(i);
+  }
+  Mutation m{base, std::nullopt};
+  std::string& out = m.text;
+  switch (seed % 5) {
+    case 0: {  // flip one bit of a byte of class (seed / 5) % kClasses
+      const auto& offsets = at[(seed / 5) % kClasses];
+      out[offsets[pick(offsets.size())]] ^=
+          static_cast<char>(1 << rng.uniform_int(0, 7));
+      break;
+    }
+    case 1: {  // truncate just before a byte of class (seed / 5) % kClasses
+      const auto& offsets = at[(seed / 5) % kClasses];
+      out.resize(offsets[pick(offsets.size())]);
+      break;
+    }
+    case 2:    // delete a brace, quote or comma
+    case 3: {  // duplicate one
+      static constexpr char kPunct[] = {'{', '}', '"', ','};
+      const char c = kPunct[pick(4)];
+      std::vector<std::size_t> hits;
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        if (base[i] == c) hits.push_back(i);
+      }
+      const std::size_t i = hits[pick(hits.size())];
+      if (seed % 5 == 2) {
+        out.erase(i, 1);
+      } else {
+        out.insert(i, 1, c);
+      }
+      break;
+    }
+    default: {  // replace a t_wall_ms, t_sim_s or f value
+      static constexpr const char* kTokens[] = {
+          "nan", "1e999", "-1e999", "12345678901234567890",
+          "-12345678901234567890", "1e", "1-2", "1.2.3", "--1", "0x10"};
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 1; i < base.size(); ++i) {
+        if (base[i - 1] == ':' && classify(base[i]) == kNumber) {
+          starts.push_back(i);
+        }
+      }
+      const std::size_t start = starts[pick(starts.size())];
+      std::size_t end = start;
+      while (end < base.size() &&
+             (classify(base[end]) == kNumber || base[end] == 'e')) {
+        ++end;
+      }
+      const std::size_t t = pick(std::size(kTokens));
+      out.replace(start, end - start, kTokens[t]);
+      m.malformed = t == 3 || t == 4 ? 0 : 1;
+      break;
+    }
+  }
+  return m;
+}
+
+std::size_t nonempty_lines(const std::string& text) {
+  std::istringstream in(text);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) n += line.empty() ? 0 : 1;
+  return n;
+}
+
+// A report must account for every non-empty line, and its summaries must
+// be ordered; printing it must not fail.
+void expect_consistent_report(const obs::TraceReport& r,
+                              const std::string& text,
+                              const std::string& label) {
+  EXPECT_EQ(r.total_events + r.malformed_lines, nonempty_lines(text))
+      << label;
+  std::size_t per_category = 0;
+  for (const auto& [cat, n] : r.category_counts) per_category += n;
+  EXPECT_EQ(per_category, r.total_events) << label;
+  EXPECT_LE(r.sim_recovery_quanta, r.sim_quanta) << label;
+  for (const auto& [key, group] : r.groups) {
+    for (const auto& [field, f] : group.fields) {
+      EXPECT_TRUE(f.min <= f.p50 && f.p50 <= f.p95 && f.p95 <= f.max)
+          << label << " " << key << "." << field;
+    }
+  }
+  std::ostringstream os;
+  obs::print_trace_report(os, r);
+  EXPECT_FALSE(os.str().empty()) << label;
+}
+
+// Deterministic mutation test of analyze_trace: every mutated trace ends
+// in a consistent report with its malformed lines counted, never a crash
+// or an exception. Run under ASan/UBSan via `ctest -L obs`.
+TEST(ObsTraceReport, MutatedTracesEndInAConsistentReport) {
+  const std::string base = record_short_trace();
+  {
+    std::istringstream in(base);
+    const obs::TraceReport r = obs::analyze_trace(in);
+    ASSERT_GT(r.total_events, 10u);
+    ASSERT_EQ(r.malformed_lines, 0u);
+  }
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const Mutation m = mutate_trace(base, seed);
+    const std::string label = "seed " + std::to_string(seed);
+    std::istringstream in(m.text);
+    const obs::TraceReport r = obs::analyze_trace(in);
+    expect_consistent_report(r, m.text, label);
+    if (m.malformed) {
+      EXPECT_EQ(r.malformed_lines, *m.malformed) << label;
     }
   }
 
- private:
-  std::string prev_;
-};
-
-TEST_F(ObsBenchDirTest, UnsetEnvKeepsRelativeFilename) {
-  ::unsetenv("DH_BENCH_DIR");
-  EXPECT_EQ(obs::json_output_path("BENCH_x.json"), "BENCH_x.json");
-}
-
-TEST_F(ObsBenchDirTest, RoutesIntoDhBenchDirAndCreatesIt) {
-  const std::string dir = testing::TempDir() + "dh_bench_dir_test/nested";
-  ::setenv("DH_BENCH_DIR", dir.c_str(), 1);
-  const std::string path = obs::json_output_path("BENCH_x.json");
-  EXPECT_EQ(path, dir + "/BENCH_x.json");
-  // The directory must exist afterwards — prove it by writing the file.
-  std::ofstream out(path);
-  out << "{}\n";
-  ASSERT_TRUE(out.good());
-}
-
-TEST_F(ObsBenchDirTest, UncreatableDirThrows) {
-  // /proc is not writable: create_directories must fail loudly.
-  ::setenv("DH_BENCH_DIR", "/proc/dh_bench_dir_test", 1);
-  EXPECT_THROW((void)obs::json_output_path("BENCH_x.json"), Error);
+  const std::string huge(1 << 20, 'x');
+  const struct {
+    const char* label;
+    std::string text;
+    std::size_t malformed;
+  } fixed[] = {
+      {"1 MB name",
+       base + "{\"cat\":\"big\",\"name\":\"" + huge +
+           "\",\"t_wall_ms\":1}\n",
+       0},
+      {"1 MB junk line", "\n" + huge + "\n" + base, 1},
+      {"1 MB of braces", std::string(1 << 20, '{') + "\n", 1},
+      {"1 MB number",
+       "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":" +
+           std::string(1 << 20, '9') + "}\n",
+       1},
+      {"empty file", "", 0},
+  };
+  for (const auto& c : fixed) {
+    std::istringstream in(c.text);
+    const obs::TraceReport r = obs::analyze_trace(in);
+    expect_consistent_report(r, c.text, c.label);
+    EXPECT_EQ(r.malformed_lines, c.malformed) << c.label;
+  }
 }
 
 }  // namespace

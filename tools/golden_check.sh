@@ -2,9 +2,8 @@
 # Golden-output check (registered with ctest, label `golden`).
 #
 # Runs one bench or example binary at a given DH_THREADS inside a fresh
-# temporary directory (also its DH_BENCH_DIR, so BENCH_*.json artifacts
-# land there and are discarded), masks the lines that legitimately differ
-# from run to run, and diffs the rest against the committed golden file.
+# temporary directory, masks the lines that legitimately differ from run
+# to run, and diffs the rest against the committed golden file.
 #
 # The mask is one regex, MASK_RE below. It matches exactly one line kind:
 #   [pool] N thread(s), ... wall time ...      (em_population_ttf)
@@ -29,7 +28,7 @@ MASK_RE='^\[pool\] .* wall time .*$'
 MASK_LINE='<masked: varies run to run>'
 
 # Every DH_* variable the caller set could change the output (tracing,
-# thread count, artifact directory); run with none but ours.
+# thread count); run with none but ours.
 for v in $(env | sed -n 's/^\(DH_[A-Za-z0-9_]*\)=.*/\1/p'); do
     unset "$v"
 done
@@ -37,7 +36,7 @@ done
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-(cd "$WORK" && DH_THREADS="$THREADS" DH_BENCH_DIR="$WORK" "$BIN") > "$WORK/raw.txt"
+(cd "$WORK" && DH_THREADS="$THREADS" "$BIN") > "$WORK/raw.txt"
 sed -E "s/$MASK_RE/$MASK_LINE/" "$WORK/raw.txt" > "$WORK/masked.txt"
 
 if ! diff -u "$GOLDEN" "$WORK/masked.txt"; then
