@@ -127,7 +127,7 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
                            ? Waveform::step(v_from, v_to, t_switch, 2e-10)
                            : Waveform::dc(v_from);
     (void)c.add_voltage_source(gate, Circuit::ground(), w);
-    (void)c.add_mosfet(*devs[i].p, gate, devs[i].d, devs[i].s);
+    c.add_mosfet(*devs[i].p, gate, devs[i].d, devs[i].s);
   }
 
   // Load bank.
@@ -167,7 +167,7 @@ AssistCircuit::Built AssistCircuit::build(AssistMode dc_mode, bool transient,
       act_fet.vth = params_.vth;
       // Sized so the on-resistance matches the activity load.
       act_fet.beta = 1.0 / (r_act * (params_.vdd.value() - params_.vth));
-      (void)c.add_mosfet(act_fet, act, b.load_vdd, b.load_vss);
+      c.add_mosfet(act_fet, act, b.load_vdd, b.load_vss);
     }
   }
   return b;

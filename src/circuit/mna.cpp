@@ -8,6 +8,16 @@
 
 namespace dh::circuit {
 
+namespace {
+
+constexpr int kMaxNewtonIterations = 200;
+constexpr double kAbsTol = 1e-9;
+constexpr double kRelTol = 1e-6;
+constexpr double kMaxStepV = 0.5;    // Newton damping limit on node voltages
+constexpr double kGminFloor = 1e-12;  // permanent leak to ground for robustness
+
+}  // namespace
+
 double DcSolution::voltage(NodeId n) const {
   if (n == 0) return 0.0;
   DH_REQUIRE(n - 1 < node_count, "node id out of range");
@@ -51,12 +61,6 @@ void Circuit::add_capacitor(NodeId a, NodeId b, Farads c) {
   capacitors_.push_back({a, b, c.value()});
 }
 
-void Circuit::add_current_source(NodeId from, NodeId to, Waveform w) {
-  DH_REQUIRE(from < node_count() && to < node_count(),
-             "current source node invalid");
-  isources_.push_back({from, to, std::move(w)});
-}
-
 VsourceId Circuit::add_voltage_source(NodeId plus, NodeId minus, Waveform w) {
   DH_REQUIRE(plus < node_count() && minus < node_count(),
              "voltage source node invalid");
@@ -64,40 +68,20 @@ VsourceId Circuit::add_voltage_source(NodeId plus, NodeId minus, Waveform w) {
   return VsourceId{vsources_.size() - 1};
 }
 
-MosfetId Circuit::add_mosfet(const MosfetParams& params, NodeId gate,
-                             NodeId drain, NodeId source) {
+void Circuit::add_mosfet(const MosfetParams& params, NodeId gate,
+                         NodeId drain, NodeId source) {
   DH_REQUIRE(gate < node_count() && drain < node_count() &&
                  source < node_count(),
              "mosfet node invalid");
   mosfets_.push_back({params, gate, drain, source});
-  return MosfetId{mosfets_.size() - 1};
-}
-
-SwitchId Circuit::add_switch(NodeId a, NodeId b, Ohms r_on, Ohms r_off) {
-  DH_REQUIRE(a < node_count() && b < node_count(), "switch node invalid");
-  DH_REQUIRE(r_on.value() > 0.0 && r_off.value() > r_on.value(),
-             "switch resistances invalid");
-  switches_.push_back({a, b, 1.0 / r_on.value(), 1.0 / r_off.value(), false});
-  return SwitchId{switches_.size() - 1};
-}
-
-void Circuit::set_switch(SwitchId s, bool closed) {
-  DH_REQUIRE(s.index < switches_.size(), "switch id invalid");
-  switches_[s.index].closed = closed;
-}
-
-MosfetParams& Circuit::mosfet_params(MosfetId m) {
-  DH_REQUIRE(m.index < mosfets_.size(), "mosfet id invalid");
-  return mosfets_[m.index].params;
 }
 
 // ---- Assembly -------------------------------------------------------------
 
 class AssembleOut {
  public:
-  AssembleOut(std::size_t n_unknowns, std::size_t n_nodes)
-      : g(n_unknowns, n_unknowns, 0.0), rhs(n_unknowns, 0.0),
-        n_nodes_(n_nodes) {}
+  explicit AssembleOut(std::size_t n_unknowns)
+      : g(n_unknowns, n_unknowns, 0.0), rhs(n_unknowns, 0.0) {}
 
   // Node index -> unknown index (ground excluded).
   [[nodiscard]] bool grounded(NodeId n) const { return n == 0; }
@@ -126,9 +110,6 @@ class AssembleOut {
 
   math::Matrix g;
   std::vector<double> rhs;
-
- private:
-  std::size_t n_nodes_;
 };
 
 void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
@@ -146,10 +127,6 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
 
   for (const auto& r : resistors_) out.add_conductance(r.a, r.b, r.g);
 
-  for (const auto& s : switches_) {
-    out.add_conductance(s.a, s.b, s.closed ? s.g_on : s.g_off);
-  }
-
   for (const auto& c : capacitors_) {
     if (x_prev == nullptr) continue;  // DC: capacitor is open
     const double geq = c.c / dt;
@@ -157,10 +134,6 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
     const double v0 = v_prev_of(c.a) - v_prev_of(c.b);
     // Companion current source geq*v0 from b to a (it fights change).
     out.add_current(c.a, c.b, -geq * v0);
-  }
-
-  for (const auto& i : isources_) {
-    out.add_current(i.from, i.to, i.w.value(t));
   }
 
   for (const auto& m : mosfets_) {
@@ -194,14 +167,13 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
 
 std::optional<std::vector<double>> Circuit::newton_solve(
     std::vector<double> x0, double t, double gmin,
-    const std::vector<double>* x_prev, double dt, const SolverOptions& opts,
-    int* iters_out) const {
+    const std::vector<double>* x_prev, double dt) const {
   const std::size_t n = unknown_count();
   std::vector<double> x = std::move(x0);
   x.resize(n, 0.0);
   const std::size_t nn = node_count() - 1;
-  for (int iter = 0; iter < opts.max_newton_iterations; ++iter) {
-    AssembleOut out(n, node_count());
+  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
+    AssembleOut out(n);
     assemble(x, t, gmin, x_prev, dt, out);
     std::vector<double> x_new;
     try {
@@ -215,38 +187,31 @@ std::optional<std::vector<double>> Circuit::newton_solve(
       max_dv = std::max(max_dv, std::abs(x_new[i] - x[i]));
     }
     double scale = 1.0;
-    if (max_dv > opts.max_step_v) scale = opts.max_step_v / max_dv;
+    if (max_dv > kMaxStepV) scale = kMaxStepV / max_dv;
     bool converged = true;
     for (std::size_t i = 0; i < n; ++i) {
       const double dx = (x_new[i] - x[i]) * scale;
-      if (std::abs(dx) >
-          opts.abs_tol + opts.rel_tol * std::abs(x[i])) {
+      if (std::abs(dx) > kAbsTol + kRelTol * std::abs(x[i])) {
         converged = false;
       }
       x[i] += dx;
     }
-    if (converged && scale == 1.0) {
-      if (iters_out != nullptr) *iters_out = iter + 1;
-      return x;
-    }
+    if (converged && scale == 1.0) return x;
   }
   return std::nullopt;
 }
 
-DcSolution Circuit::solve_dc(double t, const SolverOptions& opts) const {
+DcSolution Circuit::solve_dc(double t) const {
   DH_REQUIRE(node_count() >= 2, "circuit has no nodes");
   // gmin continuation: start leaky, tighten, reusing each stage's solution.
   const double gmin_levels[] = {1e-3, 1e-5, 1e-7, 1e-9, 0.0};
   std::vector<double> x(unknown_count(), 0.0);
-  int iters = 0;
   bool have_solution = false;
   for (const double gmin : gmin_levels) {
-    const double g = std::max(gmin, opts.gmin_floor);
-    int it = 0;
-    auto sol = newton_solve(x, t, g, nullptr, 0.0, opts, &it);
+    const double g = std::max(gmin, kGminFloor);
+    auto sol = newton_solve(x, t, g, nullptr, 0.0);
     if (sol) {
       x = std::move(*sol);
-      iters += it;
       have_solution = true;
     } else if (!have_solution) {
       continue;  // try the next (tighter) level from scratch anyway
@@ -258,22 +223,26 @@ DcSolution Circuit::solve_dc(double t, const SolverOptions& opts) const {
   DcSolution out;
   out.x = std::move(x);
   out.node_count = node_count();
-  out.newton_iterations = iters;
   return out;
 }
 
-TransientResult Circuit::solve_transient(double t_end, double dt,
-                                         const std::vector<Probe>& probes,
-                                         const SolverOptions& opts) const {
+TransientResult Circuit::solve_transient(
+    double t_end, double dt, const std::vector<Probe>& probes) const {
   DH_REQUIRE(t_end > 0.0 && dt > 0.0 && dt < t_end,
              "transient window/step invalid");
   TransientResult result;
   for (const auto& p : probes) {
-    result.traces.emplace_back(p.label,
-                               p.kind == Probe::Kind::kNodeVoltage ? "V"
-                                                                   : "A");
+    const bool node = p.kind == Probe::Kind::kNodeVoltage;
+    const std::size_t limit = node ? node_count() : vsources_.size();
+    if (p.target >= limit) {
+      throw Error("probe '" + p.label + "' targets " +
+                  (node ? "node " : "voltage source ") +
+                  std::to_string(p.target) + ", but the circuit has " +
+                  std::to_string(limit));
+    }
+    result.traces.emplace_back(p.label, node ? "V" : "A");
   }
-  DcSolution ic = solve_dc(0.0, opts);
+  DcSolution ic = solve_dc(0.0);
   std::vector<double> x = ic.x;
   const std::size_t nn = node_count() - 1;
   auto record = [&](double time) {
@@ -293,11 +262,10 @@ TransientResult Circuit::solve_transient(double t_end, double dt,
   while (t < t_end - 0.5 * dt) {
     t += dt;
     x_prev = x;
-    int it = 0;
-    auto sol = newton_solve(x, t, opts.gmin_floor, &x_prev, dt, opts, &it);
+    auto sol = newton_solve(x, t, kGminFloor, &x_prev, dt);
     if (!sol) {
       // Retry once with a leakier gmin before giving up.
-      sol = newton_solve(x, t, 1e-6, &x_prev, dt, opts, &it);
+      sol = newton_solve(x, t, 1e-6, &x_prev, dt);
       if (!sol) {
         throw ConvergenceError("transient step failed to converge at t=" +
                                std::to_string(t));

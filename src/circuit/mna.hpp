@@ -1,7 +1,7 @@
 // Modified nodal analysis circuit simulator: DC operating point via
 // damped Newton-Raphson with gmin continuation, and backward-Euler
-// transient analysis. Scales comfortably to the few-hundred-node circuits
-// in this project (assist circuitry, ring oscillators, PDN slices).
+// transient analysis, sized for the small dense circuits in this project
+// (the Fig. 8 assist circuitry and the SRAM cell's inverter curves).
 #pragma once
 
 #include <cstddef>
@@ -23,21 +23,12 @@ using NodeId = std::size_t;
 struct VsourceId {
   std::size_t index;
 };
-/// Handle to a switch (for mode control).
-struct SwitchId {
-  std::size_t index;
-};
-/// Handle to a MOSFET (for parameter updates, e.g. aged Vth).
-struct MosfetId {
-  std::size_t index;
-};
 
 struct DcSolution {
   std::vector<double> x;  // node voltages then branch currents
   std::size_t node_count = 0;
   [[nodiscard]] double voltage(NodeId n) const;
   [[nodiscard]] double branch_current(std::size_t branch) const;
-  int newton_iterations = 0;
 };
 
 /// Probe request for transient analysis.
@@ -52,14 +43,6 @@ struct TransientResult {
   [[nodiscard]] const TimeSeries& trace(const std::string& label) const;
 };
 
-struct SolverOptions {
-  int max_newton_iterations = 200;
-  double abs_tol = 1e-9;
-  double rel_tol = 1e-6;
-  double max_step_v = 0.5;    // Newton damping limit on node voltages
-  double gmin_floor = 1e-12;  // permanent leak to ground for robustness
-};
-
 class Circuit {
  public:
   Circuit() = default;
@@ -71,28 +54,18 @@ class Circuit {
 
   void add_resistor(NodeId a, NodeId b, Ohms r);
   void add_capacitor(NodeId a, NodeId b, Farads c);
-  /// Current flows from `from` to `to` through the source (i.e. it is
-  /// injected into `to`).
-  void add_current_source(NodeId from, NodeId to, Waveform w);
   VsourceId add_voltage_source(NodeId plus, NodeId minus, Waveform w);
-  MosfetId add_mosfet(const MosfetParams& params, NodeId gate, NodeId drain,
-                      NodeId source);
-  SwitchId add_switch(NodeId a, NodeId b, Ohms r_on = Ohms{1.0},
-                      Ohms r_off = Ohms{1e12});
-
-  void set_switch(SwitchId s, bool closed);
-  [[nodiscard]] MosfetParams& mosfet_params(MosfetId m);
+  void add_mosfet(const MosfetParams& params, NodeId gate, NodeId drain,
+                  NodeId source);
 
   /// DC operating point at source time `t` (waveforms evaluated at t).
-  [[nodiscard]] DcSolution solve_dc(double t = 0.0,
-                                    const SolverOptions& opts = {}) const;
+  [[nodiscard]] DcSolution solve_dc(double t = 0.0) const;
 
-  /// Backward-Euler transient from a DC initial point at t=0.
+  /// Backward-Euler transient from a DC initial point at t=0. Throws
+  /// dh::Error, before any solve, if a probe names a node or voltage
+  /// source the circuit does not have.
   [[nodiscard]] TransientResult solve_transient(
-      double t_end, double dt, const std::vector<Probe>& probes,
-      const SolverOptions& opts = {}) const;
-
-  [[nodiscard]] std::size_t branch_count() const { return vsources_.size(); }
+      double t_end, double dt, const std::vector<Probe>& probes) const;
 
  private:
   struct Resistor {
@@ -103,10 +76,6 @@ class Circuit {
     NodeId a, b;
     double c;
   };
-  struct Isource {
-    NodeId from, to;
-    Waveform w;
-  };
   struct Vsource {
     NodeId p, n;
     Waveform w;
@@ -114,11 +83,6 @@ class Circuit {
   struct Mosfet {
     MosfetParams params;
     NodeId g, d, s;
-  };
-  struct Switch {
-    NodeId a, b;
-    double g_on, g_off;
-    bool closed = false;
   };
 
   [[nodiscard]] std::size_t unknown_count() const {
@@ -129,16 +93,13 @@ class Circuit {
                 class AssembleOut& out) const;
   [[nodiscard]] std::optional<std::vector<double>> newton_solve(
       std::vector<double> x0, double t, double gmin,
-      const std::vector<double>* x_prev, double dt,
-      const SolverOptions& opts, int* iters_out) const;
+      const std::vector<double>* x_prev, double dt) const;
 
   std::vector<std::string> node_names_{"0"};
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
-  std::vector<Isource> isources_;
   std::vector<Vsource> vsources_;
   std::vector<Mosfet> mosfets_;
-  std::vector<Switch> switches_;
 };
 
 }  // namespace dh::circuit

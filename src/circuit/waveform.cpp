@@ -1,7 +1,6 @@
 #include "circuit/waveform.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/math/interp.hpp"
@@ -12,23 +11,6 @@ Waveform Waveform::dc(double value) {
   Waveform w;
   w.kind_ = Kind::kDc;
   w.dc_ = value;
-  return w;
-}
-
-Waveform Waveform::pulse(double v1, double v2, double delay_s, double rise_s,
-                         double fall_s, double width_s, double period_s) {
-  DH_REQUIRE(rise_s > 0.0 && fall_s > 0.0, "pulse edges must be positive");
-  DH_REQUIRE(period_s >= rise_s + width_s + fall_s,
-             "pulse period shorter than one cycle");
-  Waveform w;
-  w.kind_ = Kind::kPulse;
-  w.v1_ = v1;
-  w.v2_ = v2;
-  w.delay_ = delay_s;
-  w.rise_ = rise_s;
-  w.fall_ = fall_s;
-  w.width_ = width_s;
-  w.period_ = period_s;
   return w;
 }
 
@@ -53,16 +35,6 @@ double Waveform::value(double t_s) const {
   switch (kind_) {
     case Kind::kDc:
       return dc_;
-    case Kind::kPulse: {
-      if (t_s < delay_) return v1_;
-      const double tc = std::fmod(t_s - delay_, period_);
-      if (tc < rise_) return v1_ + (v2_ - v1_) * tc / rise_;
-      if (tc < rise_ + width_) return v2_;
-      if (tc < rise_ + width_ + fall_) {
-        return v2_ + (v1_ - v2_) * (tc - rise_ - width_) / fall_;
-      }
-      return v1_;
-    }
     case Kind::kPwl:
       return math::interp_linear(times_, values_, t_s);
   }

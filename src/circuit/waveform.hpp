@@ -1,6 +1,6 @@
-// Source waveforms for the circuit simulator: DC, pulse, and
-// piecewise-linear, mirroring the SPICE primitives the paper's 28 nm
-// FD-SOI validation (Fig. 9) would have used.
+// Source waveforms for the circuit simulator: DC and piecewise-linear
+// (a step is a four-point PWL), the SPICE primitives the Fig. 9 assist
+// transients need.
 #pragma once
 
 #include <vector>
@@ -13,11 +13,6 @@ class Waveform {
  public:
   /// Constant value.
   [[nodiscard]] static Waveform dc(double value);
-
-  /// SPICE-style pulse: v1 -> v2 with delay, rise/fall, width, period.
-  [[nodiscard]] static Waveform pulse(double v1, double v2, double delay_s,
-                                      double rise_s, double fall_s,
-                                      double width_s, double period_s);
 
   /// Piecewise linear through (time, value) points (times increasing);
   /// clamps outside the range.
@@ -32,11 +27,8 @@ class Waveform {
 
  private:
   Waveform() = default;
-  enum class Kind { kDc, kPulse, kPwl } kind_ = Kind::kDc;
+  enum class Kind { kDc, kPwl } kind_ = Kind::kDc;
   double dc_ = 0.0;
-  // pulse
-  double v1_ = 0.0, v2_ = 0.0, delay_ = 0.0, rise_ = 0.0, fall_ = 0.0,
-         width_ = 0.0, period_ = 0.0;
   // pwl
   std::vector<double> times_;
   std::vector<double> values_;

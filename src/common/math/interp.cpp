@@ -20,16 +20,6 @@ double interp_linear(std::span<const double> xs, std::span<const double> ys,
   return ys[lo] * (1.0 - w) + ys[hi] * w;
 }
 
-double trapezoid(std::span<const double> xs, std::span<const double> ys) {
-  DH_REQUIRE(xs.size() == ys.size() && xs.size() >= 2,
-             "quadrature table needs >= 2 matched points");
-  double acc = 0.0;
-  for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
-    acc += 0.5 * (ys[i] + ys[i + 1]) * (xs[i + 1] - xs[i]);
-  }
-  return acc;
-}
-
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
   DH_REQUIRE(n >= 2, "linspace needs >= 2 points");
   std::vector<double> xs(n);

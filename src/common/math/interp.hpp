@@ -1,4 +1,4 @@
-// Piecewise-linear interpolation and quadrature on tabulated functions —
+// Piecewise-linear interpolation on tabulated functions and 1-D grids —
 // used by the trap-density calibration and the Korhonen grid.
 #pragma once
 
@@ -11,10 +11,6 @@ namespace dh::math {
 /// xs must be strictly increasing.
 [[nodiscard]] double interp_linear(std::span<const double> xs,
                                    std::span<const double> ys, double x);
-
-/// Trapezoidal integral of tabulated ys over xs.
-[[nodiscard]] double trapezoid(std::span<const double> xs,
-                               std::span<const double> ys);
 
 /// Uniformly spaced grid of n points on [lo, hi] inclusive.
 [[nodiscard]] std::vector<double> linspace(double lo, double hi,

@@ -92,16 +92,6 @@ std::vector<double> solve_dense(const Matrix& a, std::span<const double> b) {
   return LuFactorization{a}.solve(b);
 }
 
-std::vector<double> solve_tridiagonal(std::span<const double> lower,
-                                      std::span<const double> diag,
-                                      std::span<const double> upper,
-                                      std::span<const double> rhs) {
-  std::vector<double> x(diag.size());
-  TridiagonalWorkspace ws;
-  solve_tridiagonal(lower, diag, upper, rhs, x, ws);
-  return x;
-}
-
 void solve_tridiagonal(std::span<const double> lower,
                        std::span<const double> diag,
                        std::span<const double> upper,
@@ -135,12 +125,6 @@ double norm2(std::span<const double> v) {
   double acc = 0.0;
   for (const double x : v) acc += x * x;
   return std::sqrt(acc);
-}
-
-double norm_inf(std::span<const double> v) {
-  double acc = 0.0;
-  for (const double x : v) acc = std::max(acc, std::abs(x));
-  return acc;
 }
 
 }  // namespace dh::math

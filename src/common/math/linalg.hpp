@@ -52,8 +52,6 @@ class LuFactorization {
   /// Solves A x = b.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  [[nodiscard]] std::size_t dim() const { return lu_.rows(); }
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
@@ -63,24 +61,18 @@ class LuFactorization {
 [[nodiscard]] std::vector<double> solve_dense(const Matrix& a,
                                               std::span<const double> b);
 
-/// Thomas algorithm for a tridiagonal system. `lower` has n-1 entries
-/// (sub-diagonal), `diag` n entries, `upper` n-1 entries. Overwrites
-/// nothing; returns the solution.
-[[nodiscard]] std::vector<double> solve_tridiagonal(
-    std::span<const double> lower, std::span<const double> diag,
-    std::span<const double> upper, std::span<const double> rhs);
-
-/// Caller-owned scratch for the in-place Thomas solve below, so repeated
-/// solves (e.g. every backward-Euler substep of every Korhonen wire)
-/// allocate nothing after the first call.
+/// Caller-owned scratch for the Thomas solve below, so repeated solves
+/// (e.g. every backward-Euler substep of every Korhonen wire) allocate
+/// nothing after the first call.
 struct TridiagonalWorkspace {
   std::vector<double> c_prime;
   std::vector<double> d_prime;
 };
 
-/// In-place Thomas solve writing the solution into `x` (n entries).
-/// `x` may alias `rhs`; the band spans are read-only. Scratch comes from
-/// `ws`, grown on first use and reused afterwards.
+/// Thomas algorithm for a tridiagonal system: `lower` has n-1 entries
+/// (sub-diagonal), `diag` n, `upper` n-1. Writes the solution into `x`
+/// (n entries), which may alias `rhs`; the band spans are read-only.
+/// Scratch comes from `ws`, grown on first use and reused afterwards.
 void solve_tridiagonal(std::span<const double> lower,
                        std::span<const double> diag,
                        std::span<const double> upper,
@@ -89,8 +81,5 @@ void solve_tridiagonal(std::span<const double> lower,
 
 /// Euclidean norm.
 [[nodiscard]] double norm2(std::span<const double> v);
-
-/// Infinity norm.
-[[nodiscard]] double norm_inf(std::span<const double> v);
 
 }  // namespace dh::math

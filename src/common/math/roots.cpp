@@ -6,27 +6,6 @@
 
 namespace dh::math {
 
-double bisect_root(const std::function<double(double)>& f, double lo,
-                   double hi, double tol, int max_iter) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  DH_REQUIRE(flo * fhi <= 0.0, "bisection requires a sign change");
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  for (int i = 0; i < max_iter; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0 || hi - lo < tol) return mid;
-    if (flo * fmid < 0.0) {
-      hi = mid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  throw ConvergenceError("bisection failed to converge");
-}
-
 double brent_root(const std::function<double(double)>& f, double lo,
                   double hi, double tol, int max_iter) {
   double a = lo;
@@ -96,34 +75,6 @@ double brent_root(const std::function<double(double)>& f, double lo,
     }
   }
   throw ConvergenceError("Brent's method failed to converge");
-}
-
-double golden_minimize(const std::function<double(double)>& f, double lo,
-                       double hi, double tol, int max_iter) {
-  DH_REQUIRE(hi > lo, "minimization interval must be non-empty");
-  constexpr double kInvPhi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  for (int i = 0; i < max_iter && (b - a) > tol; ++i) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  return 0.5 * (a + b);
 }
 
 }  // namespace dh::math

@@ -1,6 +1,5 @@
-// Scalar root finding and 1-D minimization, used for calibration
-// (fitting trap densities to Table I) and for schedule optimization
-// (finding the stress:recovery balance point).
+// Scalar root finding (Brent's method), used by the ring oscillator to
+// invert a measured frequency into a Vth shift.
 #pragma once
 
 #include <functional>
@@ -13,15 +12,5 @@ namespace dh::math {
 [[nodiscard]] double brent_root(const std::function<double(double)>& f,
                                 double lo, double hi, double tol = 1e-10,
                                 int max_iter = 200);
-
-/// Simple bisection (robust fallback; same contract as brent_root).
-[[nodiscard]] double bisect_root(const std::function<double(double)>& f,
-                                 double lo, double hi, double tol = 1e-10,
-                                 int max_iter = 200);
-
-/// Golden-section search for the minimum of a unimodal f on [lo, hi].
-[[nodiscard]] double golden_minimize(const std::function<double(double)>& f,
-                                     double lo, double hi, double tol = 1e-8,
-                                     int max_iter = 200);
 
 }  // namespace dh::math

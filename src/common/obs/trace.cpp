@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,8 +34,12 @@ struct JsonlTraceSink::Impl {
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
     : path_(path), impl_(std::make_unique<Impl>()) {
-  impl_->out.open(path, std::ios::out | std::ios::trunc);
-  if (!impl_->out) {
+  // The OS sees the path only up to a NUL byte, so a sink opened on
+  // "a\0b" would write to "a": refuse it rather than write elsewhere.
+  if (path.find('\0') == std::string::npos) {
+    impl_->out.open(path, std::ios::out | std::ios::trunc);
+  }
+  if (!impl_->out.is_open()) {
     throw Error("trace sink: cannot open '" + path +
                 "' for writing (check DH_TRACE / directory permissions)");
   }
@@ -58,6 +63,10 @@ JsonlTraceSink::~JsonlTraceSink() {
 namespace {
 
 void append_number(std::string& line, double v) {
+  if (!std::isfinite(v)) {
+    line += "null";
+    return;
+  }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   line += buf;

@@ -15,7 +15,8 @@
 //   {"cat":"sim","name":"quantum","t_wall_ms":12.345,"t_sim_s":21600,
 //    "f":{"worst_deg":0.0123,"recovery_cores":4}}
 // `t_wall_ms` is wall time since the sink was created; `t_sim_s` is the
-// simulation clock and is omitted when the event has none (NaN).
+// simulation clock and is omitted when the event has none. JSON has no
+// NaN or infinity, so a non-finite value is written as `null`.
 #pragma once
 
 #include <initializer_list>
@@ -51,9 +52,9 @@ class TraceSink {
   virtual void flush() {}
 };
 
-/// JSONL file sink. Throws dh::Error when the path cannot be opened for
-/// writing. Flushes on destruction so process exit never loses the tail
-/// of a trace.
+/// JSONL file sink. Throws dh::Error naming the path when it cannot be
+/// opened for writing (empty, a directory, a missing parent, a NUL byte).
+/// Flushes on destruction so process exit never loses the tail of a trace.
 class JsonlTraceSink : public TraceSink {
  public:
   explicit JsonlTraceSink(const std::string& path);

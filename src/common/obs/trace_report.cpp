@@ -15,7 +15,8 @@ namespace dh::obs {
 namespace {
 
 // Minimal parser for one JSONL trace line: a flat object of string or
-// number values plus one optional nested object "f" of number values.
+// number values plus one optional nested object "f" of number values. A
+// null value (the sink's non-finite number) is dropped; its line is kept.
 // Returns nullopt on any syntax surprise (the caller counts it malformed).
 struct ParsedLine {
   std::string cat;
@@ -55,7 +56,7 @@ class LineParser {
         if (!parse_string(v)) return std::nullopt;
         if (key == "cat") out.cat = std::move(v);
         else if (key == "name") out.name = std::move(v);
-      } else {
+      } else if (!parse_null()) {
         double v = 0.0;
         if (!parse_number(v)) return std::nullopt;
         if (key == "t_wall_ms") {
@@ -105,6 +106,11 @@ class LineParser {
     }
     return false;
   }
+  bool parse_null() {
+    if (s_.compare(pos_, 4, "null") != 0) return false;
+    pos_ += 4;
+    return true;
+  }
   bool parse_number(double& out) {
     const std::size_t start = pos_;
     while (pos_ < s_.size() &&
@@ -136,6 +142,7 @@ class LineParser {
       skip_ws();
       if (!consume(':')) return false;
       skip_ws();
+      if (parse_null()) continue;
       if (!parse_number(v)) return false;
       out.emplace_back(std::move(key), v);
     }

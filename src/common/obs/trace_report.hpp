@@ -51,7 +51,9 @@ struct TraceReport {
 };
 
 /// Parse a JSONL trace stream. Lines that are not valid objects of the
-/// sink schema are counted in `malformed_lines` and skipped.
+/// sink schema are counted in `malformed_lines` and skipped. A `null`
+/// value (a non-finite number) is left out of its field's summary, but
+/// its event still counts.
 [[nodiscard]] TraceReport analyze_trace(std::istream& in);
 
 /// Human-readable report (the tools/trace_report output).

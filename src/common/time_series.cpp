@@ -72,20 +72,6 @@ double TimeSeries::max_value() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-Seconds TimeSeries::first_upcross(double threshold) const {
-  for (std::size_t i = 0; i + 1 < times_.size(); ++i) {
-    if (values_[i] < threshold && values_[i + 1] >= threshold) {
-      const double dv = values_[i + 1] - values_[i];
-      const double w = dv == 0.0 ? 0.0 : (threshold - values_[i]) / dv;
-      return Seconds{times_[i] + w * (times_[i + 1] - times_[i])};
-    }
-  }
-  if (!values_.empty() && values_.front() >= threshold) {
-    return Seconds{times_.front()};
-  }
-  return Seconds{-1.0};
-}
-
 TimeSeries TimeSeries::resampled(std::size_t n) const {
   DH_REQUIRE(n >= 2, "resampling needs at least two points");
   DH_REQUIRE(!times_.empty(), "cannot resample an empty series");

@@ -43,10 +43,6 @@ class TimeSeries {
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
 
-  /// First time the series crosses `threshold` going upward (linear
-  /// interpolation between samples); returns negative Seconds if never.
-  [[nodiscard]] Seconds first_upcross(double threshold) const;
-
   /// Resample onto a uniform grid of n points across the series range.
   [[nodiscard]] TimeSeries resampled(std::size_t n) const;
 

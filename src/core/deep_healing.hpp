@@ -14,7 +14,7 @@
 //   dh::logic   — signal-probability logic aging + aging-aware STA
 //   dh::pdn     — power grid IR solve + per-segment EM aging
 //   dh::sched   — cores, workloads, recovery policies, lifetime simulator
-//   dh::core    — paper protocols, rejuvenation planning
+//   dh::core    — paper protocols, EM recovery planning
 #pragma once
 
 #include "circuit/assist.hpp"

@@ -8,61 +8,6 @@
 
 namespace dh::core {
 
-namespace {
-
-/// Residual Vth shift after running the schedule for the whole lifetime.
-Volts simulate_schedule(const BtiPlanningInput& in, double recovery_fraction) {
-  auto model = device::BtiModel::paper_calibrated();
-  const double cycles_exact = in.lifetime.value() / in.period.value();
-  const auto cycles = static_cast<long>(std::ceil(cycles_exact));
-  const Seconds stress_time{in.period.value() * (1.0 - recovery_fraction)};
-  const Seconds recovery_time{in.period.value() * recovery_fraction};
-  for (long c = 0; c < cycles; ++c) {
-    if (stress_time.value() > 0.0) model.apply(in.stress, stress_time);
-    if (recovery_time.value() > 0.0) model.apply(in.recovery, recovery_time);
-  }
-  return model.delta_vth();
-}
-
-}  // namespace
-
-BtiSchedule plan_bti_recovery(const BtiPlanningInput& input) {
-  DH_REQUIRE(input.stress.is_stress(),
-             "planning input needs a stress condition");
-  DH_REQUIRE(input.period.value() > 0.0 && input.lifetime.value() > 0.0,
-             "period and lifetime must be positive");
-  BtiSchedule out;
-  out.period = input.period;
-  out.unmitigated_permanent = simulate_schedule(input, 0.0);
-
-  if (out.unmitigated_permanent <= input.residual_budget) {
-    out.recovery_fraction = 0.0;
-    out.residual_permanent = out.unmitigated_permanent;
-    return out;
-  }
-  // Bisection on the recovery share (residual decreases monotonically).
-  double lo = 0.0;
-  double hi = 0.9;
-  Volts hi_res = simulate_schedule(input, hi);
-  if (hi_res > input.residual_budget) {
-    // Even 90% recovery cannot meet the budget; report the best we can.
-    out.recovery_fraction = hi;
-    out.residual_permanent = hi_res;
-    return out;
-  }
-  for (int iter = 0; iter < 24; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (simulate_schedule(input, mid) > input.residual_budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  out.recovery_fraction = hi;
-  out.residual_permanent = simulate_schedule(input, hi);
-  return out;
-}
-
 EmSchedule plan_em_recovery(const EmPlanningInput& input) {
   DH_REQUIRE(input.stress_budget > 0.0 && input.stress_budget < 1.0,
              "stress budget must be in (0,1)");

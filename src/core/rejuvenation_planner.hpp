@@ -1,39 +1,12 @@
-// RejuvenationPlanner: turns the paper's "push-pull" observation into a
-// design procedure — find the smallest scheduled recovery share that keeps
-// the permanent wearout component from accumulating over the device's
-// target lifetime, and place EM recovery intervals before void nucleation.
+// RejuvenationPlanner: turns active EM recovery into a design procedure —
+// place reverse-current recovery intervals so a line's peak stress
+// stays below void nucleation over its target lifetime.
 #pragma once
 
 #include "common/units.hpp"
-#include "device/bti_model.hpp"
 #include "em/compact_em.hpp"
 
 namespace dh::core {
-
-struct BtiSchedule {
-  /// Fraction of every period spent in BTI active recovery.
-  double recovery_fraction = 0.0;
-  Seconds period{0.0};
-  /// Predicted permanent component at end of life with this schedule.
-  Volts residual_permanent{0.0};
-  /// Predicted permanent component with NO scheduled recovery.
-  Volts unmitigated_permanent{0.0};
-};
-
-struct BtiPlanningInput {
-  device::BtiCondition stress;               // operating stress condition
-  device::BtiCondition recovery;             // available recovery condition
-  Seconds period{hours(24.0)};               // scheduling period
-  Seconds lifetime{years(5.0)};
-  /// Largest residual permanent shift considered "practically zero".
-  Volts residual_budget{0.002};
-};
-
-/// Finds, by bisection on the recovery share, the minimal fraction of each
-/// period that must be spent in active recovery so the end-of-life
-/// permanent component stays within budget. Uses the full calibrated BTI
-/// model (cycle-compressed: the schedule is simulated cycle by cycle).
-[[nodiscard]] BtiSchedule plan_bti_recovery(const BtiPlanningInput& input);
 
 struct EmSchedule {
   /// Reverse-current interval to insert after every `forward_interval` of

@@ -17,9 +17,6 @@ struct BtiCondition {
   Celsius temperature{20.0};
 
   [[nodiscard]] bool is_stress() const { return gate_bias.value() > 0.0; }
-  [[nodiscard]] bool is_active_recovery() const {
-    return gate_bias.value() < 0.0;
-  }
 };
 
 /// The four recovery conditions of Table I (and the paper's accelerated

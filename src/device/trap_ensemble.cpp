@@ -100,9 +100,4 @@ double TrapEnsemble::occupancy(std::size_t i) const {
   return occupancy_[i];
 }
 
-double TrapEnsemble::bin_energy_ev(std::size_t i) const {
-  DH_REQUIRE(i < centers_.size(), "trap bin index out of range");
-  return centers_[i];
-}
-
 }  // namespace dh::device

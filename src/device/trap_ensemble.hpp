@@ -64,7 +64,6 @@ class TrapEnsemble {
   /// Occupancy of bin i (for tests/inspection).
   [[nodiscard]] double occupancy(std::size_t i) const;
   [[nodiscard]] std::size_t bin_count() const { return centers_.size(); }
-  [[nodiscard]] double bin_energy_ev(std::size_t i) const;
 
   [[nodiscard]] const TrapEnsembleParams& params() const { return params_; }
 

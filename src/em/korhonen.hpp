@@ -81,10 +81,6 @@ class KorhonenSolver {
   [[nodiscard]] double stress_integral() const;
 
   [[nodiscard]] const std::vector<double>& grid() const { return x_; }
-  [[nodiscard]] const std::vector<double>& stress_profile() const {
-    return sigma_;
-  }
-
   [[nodiscard]] const WireGeometry& wire() const { return wire_; }
   [[nodiscard]] const EmMaterialParams& material() const { return material_; }
 

@@ -53,7 +53,6 @@ class LogicNetlist {
   [[nodiscard]] GateId add_gate(GateKind kind, GateId a);  // BUF/INV
   [[nodiscard]] GateId add_gate(GateKind kind, GateId a, GateId b);
 
-  [[nodiscard]] std::size_t gate_count() const { return gates_.size(); }
   [[nodiscard]] std::size_t input_count() const { return inputs_.size(); }
 
   /// Signal probability of each node under independent-input assumption.

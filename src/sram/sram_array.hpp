@@ -46,7 +46,6 @@ class SramArray {
   /// Cheap health proxy: SNM of the cell with the worst PMOS asymmetry.
   [[nodiscard]] SramArrayHealth worst_cell_health() const;
 
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
   [[nodiscard]] const SramCell& cell(std::size_t i) const;
 
  private:

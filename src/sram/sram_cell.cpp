@@ -62,8 +62,8 @@ std::vector<double> inverter_vtc(const SramCellParams& params,
     n.polarity = circuit::MosPolarity::kNmos;
     n.vth = params.nmos_vth + nmos_dvth.value();
     n.beta = params.nmos_beta;
-    (void)c.add_mosfet(p, in, o, vdd);
-    (void)c.add_mosfet(n, in, o, circuit::Circuit::ground());
+    c.add_mosfet(p, in, o, vdd);
+    c.add_mosfet(n, in, o, circuit::Circuit::ground());
     out.push_back(c.solve_dc().voltage(o));
   }
   return out;

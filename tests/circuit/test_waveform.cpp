@@ -13,22 +13,6 @@ TEST(Waveform, DcIsConstant) {
   EXPECT_DOUBLE_EQ(w.value(1e9), 1.5);
 }
 
-TEST(Waveform, PulseShape) {
-  // 0 -> 1, delay 1, rise 1, width 2, fall 1, period 10.
-  const Waveform w = Waveform::pulse(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 10.0);
-  EXPECT_DOUBLE_EQ(w.value(0.5), 0.0);   // before delay
-  EXPECT_DOUBLE_EQ(w.value(1.5), 0.5);   // mid-rise
-  EXPECT_DOUBLE_EQ(w.value(3.0), 1.0);   // on
-  EXPECT_DOUBLE_EQ(w.value(4.5), 0.5);   // mid-fall
-  EXPECT_DOUBLE_EQ(w.value(9.0), 0.0);   // off
-  EXPECT_DOUBLE_EQ(w.value(11.5), 0.5);  // periodic repeat
-}
-
-TEST(Waveform, PulseValidation) {
-  EXPECT_THROW(Waveform::pulse(0, 1, 0, 0.0, 1, 1, 10), dh::Error);
-  EXPECT_THROW(Waveform::pulse(0, 1, 0, 1, 1, 10, 2), dh::Error);
-}
-
 TEST(Waveform, PwlInterpolatesAndClamps) {
   const Waveform w = Waveform::pwl({0.0, 1.0, 2.0}, {0.0, 2.0, 0.0});
   EXPECT_DOUBLE_EQ(w.value(-1.0), 0.0);

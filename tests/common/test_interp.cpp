@@ -23,12 +23,6 @@ TEST(Interp, RejectsMismatchedTables) {
                Error);
 }
 
-TEST(Trapezoid, IntegratesLinearExactly) {
-  const std::vector<double> xs{0.0, 1.0, 2.0, 4.0};
-  const std::vector<double> ys{0.0, 1.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(trapezoid(xs, ys), 8.0);
-}
-
 TEST(Linspace, EndpointsAndSpacing) {
   const auto xs = linspace(1.0, 3.0, 5);
   ASSERT_EQ(xs.size(), 5u);

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -121,6 +122,36 @@ TEST(ObsTraceReport, NumberWithTrailingGarbageIsMalformed) {
   EXPECT_EQ(report.total_events, 1u);
   EXPECT_EQ(report.sim_quanta, 0u);
   EXPECT_DOUBLE_EQ(report.groups.at("a/x").fields.at("v").max, -5.0);
+}
+
+TEST(ObsTraceReport, NonFiniteFieldIsNullAndKeepsItsEvent) {
+  // A NaN written as `nan` is not JSON, so the report used to drop the
+  // whole quantum as malformed.
+  const std::string path =
+      testing::TempDir() + "dh_obs_report_nonfinite.jsonl";
+  {
+    obs::JsonlTraceSink sink(path);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const obs::TraceField fields[] = {{"worst_deg", nan},
+                                      {"recovery_cores", 2.0}};
+    obs::TraceEvent e;
+    e.category = "sim";
+    e.name = "quantum";
+    e.sim_time_s = std::numeric_limits<double>::infinity();
+    e.has_sim_time = true;
+    e.fields = fields;
+    e.field_count = 2;
+    sink.write(e);
+  }
+  std::ifstream in(path);
+  const obs::TraceReport report = obs::analyze_trace(in);
+  EXPECT_EQ(report.malformed_lines, 0u);
+  EXPECT_EQ(report.sim_quanta, 1u);
+  EXPECT_EQ(report.sim_recovery_quanta, 1u);
+  const obs::TraceEventGroup& group = report.groups.at("sim/quantum");
+  EXPECT_EQ(group.fields.count("worst_deg"), 0u);
+  EXPECT_EQ(group.fields.count("t_sim_s"), 0u);
+  EXPECT_DOUBLE_EQ(group.fields.at("recovery_cores").max, 2.0);
 }
 
 // Forwards to a JSONL sink with each t_wall_ms replaced by half the event

@@ -50,14 +50,6 @@ TEST(TimeSeries, MinMax) {
   EXPECT_DOUBLE_EQ(s.max_value(), 3.0);
 }
 
-TEST(TimeSeries, FirstUpcrossInterpolates) {
-  const TimeSeries s = ramp();
-  // Crosses 2.0 halfway between t=10 (v=1) and t=20 (v=3).
-  EXPECT_NEAR(s.first_upcross(2.0).value(), 15.0, 1e-12);
-  // Never crosses 5.0.
-  EXPECT_LT(s.first_upcross(5.0).value(), 0.0);
-}
-
 TEST(TimeSeries, Resample) {
   const TimeSeries s = ramp();
   const TimeSeries r = s.resampled(5);

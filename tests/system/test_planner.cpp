@@ -3,57 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-
-#include "device/calibration.hpp"
 #include "em/em_sensor.hpp"
 #include "em/wire.hpp"
 
 namespace dh::core {
 namespace {
-
-BtiPlanningInput accelerated_input() {
-  BtiPlanningInput in;
-  in.stress = device::paper_conditions::accelerated_stress();
-  in.recovery = device::paper_conditions::recovery_no4();
-  // Short scheduling periods: the Fig. 4 lesson is that in-time recovery
-  // must come before precursors lock, so the period is hours, not days.
-  in.period = hours(2.0);
-  in.lifetime = days(8.0);
-  in.residual_budget = Volts{0.003};
-  return in;
-}
-
-TEST(BtiPlanner, FindsScheduleMeetingBudget) {
-  const BtiSchedule s = plan_bti_recovery(accelerated_input());
-  EXPECT_GT(s.recovery_fraction, 0.0);
-  EXPECT_LT(s.recovery_fraction, 0.9);
-  EXPECT_LE(s.residual_permanent.value(), 0.003 + 1e-5);
-  EXPECT_GT(s.unmitigated_permanent.value(), s.residual_permanent.value());
-}
-
-TEST(BtiPlanner, ZeroScheduleWhenAlreadyWithinBudget) {
-  BtiPlanningInput in = accelerated_input();
-  in.stress = device::BtiCondition{Volts{0.4}, Celsius{25.0}};  // benign
-  in.lifetime = days(2.0);
-  in.residual_budget = Volts{0.02};
-  const BtiSchedule s = plan_bti_recovery(in);
-  EXPECT_DOUBLE_EQ(s.recovery_fraction, 0.0);
-}
-
-TEST(BtiPlanner, TighterBudgetNeedsMoreRecovery) {
-  BtiPlanningInput loose = accelerated_input();
-  loose.residual_budget = Volts{0.006};
-  BtiPlanningInput tight = accelerated_input();
-  tight.residual_budget = Volts{0.002};
-  EXPECT_GE(plan_bti_recovery(tight).recovery_fraction,
-            plan_bti_recovery(loose).recovery_fraction);
-}
-
-TEST(BtiPlanner, ValidatesInput) {
-  BtiPlanningInput in = accelerated_input();
-  in.stress = device::paper_conditions::recovery_no1();  // not a stress
-  EXPECT_THROW((void)plan_bti_recovery(in), dh::Error);
-}
 
 EmPlanningInput hot_wire_input() {
   EmPlanningInput in;
