@@ -112,7 +112,8 @@ class AssembleOut {
   std::vector<double> rhs;
 };
 
-void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
+void Circuit::assemble(std::vector<double>& x_guess,
+                       std::span<const double> source_v, double gmin,
                        const std::vector<double>* x_prev, double dt,
                        AssembleOut& out) const {
   auto v_of = [&](NodeId n) { return n == 0 ? 0.0 : x_guess[n - 1]; };
@@ -161,12 +162,19 @@ void Circuit::assemble(std::vector<double>& x_guess, double t, double gmin,
       out.g(vs.n - 1, br) -= 1.0;
       out.g(br, vs.n - 1) -= 1.0;
     }
-    out.rhs[br] += vs.w.value(t);
+    out.rhs[br] += source_v[k];
   }
 }
 
+std::vector<double> Circuit::source_values(double t) const {
+  std::vector<double> v;
+  v.reserve(vsources_.size());
+  for (const auto& vs : vsources_) v.push_back(vs.w.value(t));
+  return v;
+}
+
 std::optional<std::vector<double>> Circuit::newton_solve(
-    std::vector<double> x0, double t, double gmin,
+    std::vector<double> x0, std::span<const double> source_v, double gmin,
     const std::vector<double>* x_prev, double dt) const {
   const std::size_t n = unknown_count();
   std::vector<double> x = std::move(x0);
@@ -174,7 +182,7 @@ std::optional<std::vector<double>> Circuit::newton_solve(
   const std::size_t nn = node_count() - 1;
   for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
     AssembleOut out(n);
-    assemble(x, t, gmin, x_prev, dt, out);
+    assemble(x, source_v, gmin, x_prev, dt, out);
     std::vector<double> x_new;
     try {
       x_new = math::solve_dense(out.g, out.rhs);
@@ -201,15 +209,15 @@ std::optional<std::vector<double>> Circuit::newton_solve(
   return std::nullopt;
 }
 
-DcSolution Circuit::solve_dc(double t) const {
-  DH_REQUIRE(node_count() >= 2, "circuit has no nodes");
+std::optional<std::vector<double>> Circuit::gmin_ladder(
+    std::span<const double> source_v) const {
   // gmin continuation: start leaky, tighten, reusing each stage's solution.
   const double gmin_levels[] = {1e-3, 1e-5, 1e-7, 1e-9, 0.0};
   std::vector<double> x(unknown_count(), 0.0);
   bool have_solution = false;
   for (const double gmin : gmin_levels) {
     const double g = std::max(gmin, kGminFloor);
-    auto sol = newton_solve(x, t, g, nullptr, 0.0);
+    auto sol = newton_solve(x, source_v, g, nullptr, 0.0);
     if (sol) {
       x = std::move(*sol);
       have_solution = true;
@@ -217,12 +225,50 @@ DcSolution Circuit::solve_dc(double t) const {
       continue;  // try the next (tighter) level from scratch anyway
     }
   }
-  if (!have_solution) {
-    throw ConvergenceError("DC operating point failed to converge");
-  }
+  if (!have_solution) return std::nullopt;
+  return x;
+}
+
+DcSolution Circuit::solve_dc(double t) const {
+  DH_REQUIRE(node_count() >= 2, "circuit has no nodes");
+  auto x = gmin_ladder(source_values(t));
+  if (!x) throw ConvergenceError("DC operating point failed to converge");
   DcSolution out;
-  out.x = std::move(x);
+  out.x = std::move(*x);
   out.node_count = node_count();
+  return out;
+}
+
+std::vector<double> Circuit::solve_dc_sweep(VsourceId source,
+                                            std::span<const double> values,
+                                            NodeId probe) const {
+  DH_REQUIRE(node_count() >= 2, "circuit has no nodes");
+  if (source.index >= vsources_.size()) {
+    throw Error("DC sweep source " + std::to_string(source.index) +
+                " is not a voltage source of the circuit, which has " +
+                std::to_string(vsources_.size()));
+  }
+  if (probe >= node_count()) {
+    throw Error("DC sweep probe node " + std::to_string(probe) +
+                " is not a node of the circuit, which has " +
+                std::to_string(node_count()));
+  }
+  std::vector<double> source_v = source_values(0.0);
+  std::vector<double> out;
+  out.reserve(values.size());
+  std::optional<std::vector<double>> x;
+  for (const double v : values) {
+    source_v[source.index] = v;
+    // Continuation: from the previous point's solution straight at the
+    // floor gmin; the ladder only for the first point or a failed start.
+    if (x) x = newton_solve(std::move(*x), source_v, kGminFloor, nullptr, 0.0);
+    if (!x) x = gmin_ladder(source_v);
+    if (!x) {
+      throw ConvergenceError("DC sweep failed to converge at source value " +
+                             std::to_string(v));
+    }
+    out.push_back(probe == 0 ? 0.0 : (*x)[probe - 1]);
+  }
   return out;
 }
 
@@ -262,10 +308,11 @@ TransientResult Circuit::solve_transient(
   while (t < t_end - 0.5 * dt) {
     t += dt;
     x_prev = x;
-    auto sol = newton_solve(x, t, kGminFloor, &x_prev, dt);
+    const std::vector<double> source_v = source_values(t);
+    auto sol = newton_solve(x, source_v, kGminFloor, &x_prev, dt);
     if (!sol) {
       // Retry once with a leakier gmin before giving up.
-      sol = newton_solve(x, t, 1e-6, &x_prev, dt);
+      sol = newton_solve(x, source_v, 1e-6, &x_prev, dt);
       if (!sol) {
         throw ConvergenceError("transient step failed to converge at t=" +
                                std::to_string(t));

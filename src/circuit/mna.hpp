@@ -1,11 +1,13 @@
 // Modified nodal analysis circuit simulator: DC operating point via
-// damped Newton-Raphson with gmin continuation, and backward-Euler
+// damped Newton-Raphson with gmin continuation, DC sweeps by
+// continuation from point to point, and backward-Euler
 // transient analysis, sized for the small dense circuits in this project
 // (the Fig. 8 assist circuitry and the SRAM cell's inverter curves).
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +63,16 @@ class Circuit {
   /// DC operating point at source time `t` (waveforms evaluated at t).
   [[nodiscard]] DcSolution solve_dc(double t = 0.0) const;
 
+  /// DC sweep: the voltage of `probe` with `source` held at each of
+  /// `values` in turn (every other source at its t = 0 value). The first
+  /// point is `solve_dc`'s gmin ladder; each later one starts Newton at
+  /// the floor gmin from the previous point's solution (SPICE's DC-sweep
+  /// continuation) and falls back to the ladder if that start does not
+  /// converge. Throws dh::Error, before any solve, if `source` or
+  /// `probe` is not part of the circuit.
+  [[nodiscard]] std::vector<double> solve_dc_sweep(
+      VsourceId source, std::span<const double> values, NodeId probe) const;
+
   /// Backward-Euler transient from a DC initial point at t=0. Throws
   /// dh::Error, before any solve, if a probe names a node or voltage
   /// source the circuit does not have.
@@ -88,12 +100,19 @@ class Circuit {
   [[nodiscard]] std::size_t unknown_count() const {
     return node_count() - 1 + vsources_.size();
   }
-  void assemble(std::vector<double>& x_guess, double t, double gmin,
+  /// Every source's value at time t, in source order.
+  [[nodiscard]] std::vector<double> source_values(double t) const;
+  void assemble(std::vector<double>& x_guess,
+                std::span<const double> source_v, double gmin,
                 const std::vector<double>* x_prev, double dt,
                 class AssembleOut& out) const;
   [[nodiscard]] std::optional<std::vector<double>> newton_solve(
-      std::vector<double> x0, double t, double gmin,
+      std::vector<double> x0, std::span<const double> source_v, double gmin,
       const std::vector<double>* x_prev, double dt) const;
+  /// DC operating point by gmin continuation from 0 V; nullopt if no
+  /// level converges.
+  [[nodiscard]] std::optional<std::vector<double>> gmin_ladder(
+      std::span<const double> source_v) const;
 
   std::vector<std::string> node_names_{"0"};
   std::vector<Resistor> resistors_;

@@ -23,10 +23,9 @@
 
 namespace dh::ckpt {
 
-/// 4: the PDN solver section (PDNC) holds only the solve and
-/// factorization counts (no refinement iterations); older files are
-/// refused.
-inline constexpr std::uint32_t kSchemaVersion = 4;
+/// 5: the simulator section (SSIM) holds the invariant-violation counts
+/// after the recovery-quanta count; older files are refused.
+inline constexpr std::uint32_t kSchemaVersion = 5;
 inline constexpr char kMagic[4] = {'D', 'H', 'C', 'K'};
 
 /// Write `payload` to `path` atomically (temp file + rename). Throws

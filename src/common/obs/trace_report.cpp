@@ -7,6 +7,7 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <string_view>
 
 #include "common/stats.hpp"
 
@@ -159,8 +160,8 @@ TraceFieldSummary summarize(std::vector<double>& values) {
   std::sort(values.begin(), values.end());
   s.min = values.front();
   s.max = values.back();
-  s.p50 = stats::percentile(values, 0.50);
-  s.p95 = stats::percentile(values, 0.95);
+  s.p50 = stats::percentile_sorted(values, 0.50);
+  s.p95 = stats::percentile_sorted(values, 0.95);
   return s;
 }
 
@@ -204,6 +205,14 @@ TraceReport analyze_trace(std::istream& in) {
       ++report.sim_quanta;
       if (recovery_cores > 0.0 || em_recovery != 0.0) {
         ++report.sim_recovery_quanta;
+      }
+      constexpr std::string_view kViolation = "violation.";
+      for (const auto& [k, v] : parsed->fields) {
+        if (k.starts_with(kViolation)) {
+          std::uint64_t& quanta =
+              report.sim_invariant_violations[k.substr(kViolation.size())];
+          if (v != 0.0) ++quanta;
+        }
       }
     }
     // Phase accounting: charge the gap since the previous event to the
@@ -270,6 +279,14 @@ void print_trace_report(std::ostream& os, const TraceReport& report) {
                   static_cast<unsigned long long>(
                       report.sim_recovery_quanta));
     os << buf;
+  }
+  if (!report.sim_invariant_violations.empty()) {
+    os << "\ninvariant violations (quanta):\n";
+    for (const auto& [name, quanta] : report.sim_invariant_violations) {
+      std::snprintf(buf, sizeof(buf), "  %-22s %llu\n", name.c_str(),
+                    static_cast<unsigned long long>(quanta));
+      os << buf;
+    }
   }
 }
 

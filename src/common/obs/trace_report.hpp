@@ -48,6 +48,10 @@ struct TraceReport {
   /// must match `SystemSimulator::recovery_quanta()` of the traced run.
   std::size_t sim_quanta = 0;
   std::uint64_t sim_recovery_quanta = 0;
+  /// Invariant name -> quanta whose "sim/quantum" event has a nonzero
+  /// "violation.<name>" field; must match the traced run's
+  /// `SystemSummary::invariant_violations`.
+  std::map<std::string, std::uint64_t> sim_invariant_violations;
 };
 
 /// Parse a JSONL trace stream. Lines that are not valid objects of the

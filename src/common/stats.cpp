@@ -27,10 +27,14 @@ double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 double median(std::span<const double> xs) { return percentile(xs, 0.5); }
 
 double percentile(std::span<const double> xs, double p) {
-  DH_REQUIRE(!xs.empty(), "percentile of empty sample");
-  DH_REQUIRE(p >= 0.0 && p <= 1.0, "percentile p must be in [0,1]");
   std::vector<double> sorted(xs.begin(), xs.end());
   std::ranges::sort(sorted);
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  DH_REQUIRE(!sorted.empty(), "percentile of empty sample");
+  DH_REQUIRE(p >= 0.0 && p <= 1.0, "percentile p must be in [0,1]");
   if (sorted.size() == 1) return sorted.front();
   const double pos = p * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);

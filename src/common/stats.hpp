@@ -14,6 +14,10 @@ namespace dh::stats {
 
 /// p in [0,1]; linear interpolation between order statistics.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
+/// `percentile` of a sample already sorted ascending, without the copy
+/// and sort.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double p);
 
 struct LognormalFit {
   double mu = 0.0;     // mean of ln(x)

@@ -19,7 +19,7 @@ AgingPdn::AgingPdn(PdnParams pdn_params, em::EmMaterialParams material)
     p.material = material_;
     // Reference the pool kinetics to a hot high-load condition so the
     // Prony time constants straddle the lifetime-relevant range.
-    p.j_ref = mega_amps_per_cm2(4.0);
+    p.j_ref = mega_amps_per_cm2(kJRefMaPerCm2);
     p.t_ref = Celsius{105.0};
     segment_em_.emplace_back(p);
   }
@@ -77,6 +77,11 @@ AgingPdnStats AgingPdn::stats() const {
   AgingPdnStats st;
   st.worst_drop_v = last_.worst_drop_v;
   st.solver_factorizations = grid_.solve_stats().factorizations;
+  double max_current = 0.0;
+  for (const double current : last_.segment_current) {
+    max_current = std::max(max_current, std::abs(current));
+  }
+  st.max_current_density = grid_.current_density(max_current).value();
   for (std::size_t s = 0; s < segment_em_.size(); ++s) {
     const auto& em = segment_em_[s];
     st.max_void_len_m = std::max(st.max_void_len_m, em.void_length().value());

@@ -18,6 +18,8 @@ namespace dh::pdn {
 
 struct AgingPdnStats {
   double worst_drop_v = 0.0;
+  /// Largest segment |j| of the last solve, A/m^2.
+  double max_current_density = 0.0;
   double max_void_len_m = 0.0;
   std::size_t nucleated_segments = 0;
   std::size_t broken_segments = 0;
@@ -29,6 +31,9 @@ struct AgingPdnStats {
 
 class AgingPdn {
  public:
+  /// The reference current density of every segment's compact EM model.
+  static constexpr double kJRefMaPerCm2 = 4.0;
+
   AgingPdn(PdnParams pdn_params, em::EmMaterialParams material);
 
   /// Advance the grid for `dt`: solve IR with the current (aged) segment

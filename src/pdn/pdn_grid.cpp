@@ -240,6 +240,11 @@ PdnSolution PdnGrid::solve_uncached(
   return finish_solution(math::solve_dense(g, rhs), segment_resistance);
 }
 
+bool PdnGrid::powered(std::size_t node) const {
+  DH_REQUIRE(node < node_count(), "PDN node index out of range");
+  return powered_[node] != 0;
+}
+
 AmpsPerM2 PdnGrid::current_density(double current_a) const {
   return AmpsPerM2{current_a / params_.segment_wire.cross_section_m2()};
 }

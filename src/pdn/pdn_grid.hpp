@@ -100,6 +100,10 @@ class PdnGrid {
       std::span<const double> load_amps,
       std::span<const double> segment_resistance);
 
+  /// Whether the last solve found `node` joined to a pad by finite
+  /// segments (false for every node before the first solve).
+  [[nodiscard]] bool powered(std::size_t node) const;
+
   /// Solve counters.
   [[nodiscard]] const PdnSolveStats& solve_stats() const {
     return solve_stats_;

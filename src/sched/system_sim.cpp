@@ -38,6 +38,20 @@ pdn::PdnParams match_pdn(pdn::PdnParams p, std::size_t rows,
 /// shift, so a healthy sensor never trips it.
 constexpr double kSensorSaneLimitV = 0.5;
 
+/// The current-density check's bound (InvariantViolations).
+constexpr double kMaxCurrentDensityMaPerCm2 =
+    10.0 * pdn::AgingPdn::kJRefMaPerCm2;
+
+/// The named error of a non-finite state value, which no legitimate run
+/// produces.
+[[noreturn]] void throw_non_finite(const char* quantity, const char* unit,
+                                   std::size_t index, double value,
+                                   std::size_t quantum) {
+  throw Error("SystemSimulator: non-finite " + std::string(quantity) +
+              " at " + unit + " " + std::to_string(index) + " in quantum " +
+              std::to_string(quantum) + " (" + std::to_string(value) + ")");
+}
+
 }  // namespace
 
 SystemSimulator::SystemSimulator(SystemParams params,
@@ -156,11 +170,21 @@ void SystemSimulator::step() {
   static obs::Counter& bti_evals =
       obs::registry().counter("bti.compact.evals");
   bti_evals.add(n);
-  for (std::size_t i = 0; i < n; ++i) temps_[i] = thermal_.temperature(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    temps_[i] = thermal_.temperature(i);
+    if (!std::isfinite(temps_[i].value())) {
+      throw_non_finite("temperature", "tile", i, temps_[i].value(),
+                       steps_ + 1);
+    }
+  }
   Core::step_all(cores_, decision.actions, util_, temps_, dt);
   double delivered = 0.0;
   double demanded = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
+    const double dvth = cores_[i].delta_vth().value();
+    if (!std::isfinite(dvth)) {
+      throw_non_finite("Vth shift", "core", i, dvth, steps_ + 1);
+    }
     demanded += demand_[i];
     if (decision.actions[i] == CoreAction::kRun) {
       // Throughput delivered scales with the aged clock.
@@ -180,6 +204,35 @@ void SystemSimulator::step() {
   }
   pdn_.step(loads_, thermal_.max_temperature(), dt,
             decision.em_recovery_mode);
+  // The PDN state's physical invariants (InvariantViolations), counted.
+  const pdn::AgingPdnStats pdn_stats = pdn_.stats();
+  const double vdd = pdn_.grid().params().vdd.value();
+  const bool bad_drop =
+      !(pdn_stats.worst_drop_v >= 0.0 && pdn_stats.worst_drop_v < vdd);
+  bool unpowered_core = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (decision.actions[i] == CoreAction::kRun && !pdn_.grid().powered(i)) {
+      unpowered_core = true;
+    }
+  }
+  const bool bad_j =
+      !(pdn_stats.max_current_density <=
+        mega_amps_per_cm2(kMaxCurrentDensityMaPerCm2).value());
+  static obs::Counter& drop_violations =
+      obs::registry().counter("sim.invariant_violations.ir_drop");
+  static obs::Counter& unpowered_violations =
+      obs::registry().counter("sim.invariant_violations.unpowered_core");
+  static obs::Counter& j_violations =
+      obs::registry().counter("sim.invariant_violations.current_density");
+  const auto count = [](bool violated, std::size_t& quanta,
+                        obs::Counter& counter) {
+    if (!violated) return;
+    ++quanta;
+    counter.add();
+  };
+  count(bad_drop, violations_.ir_drop, drop_violations);
+  count(unpowered_core, violations_.unpowered_core, unpowered_violations);
+  count(bad_j, violations_.current_density, j_violations);
 
   // 7. Metrics. Simulated time is derived from the integer step count so
   // multi-year runs accumulate no floating-point drift (repeated
@@ -196,7 +249,7 @@ void SystemSimulator::step() {
   }
   guardband_ = std::max(guardband_, worst_deg);
   temp_acc_ += thermal_.mean_temperature().value();
-  const double ir_drop_v = pdn_.stats().worst_drop_v;
+  const double ir_drop_v = pdn_stats.worst_drop_v;
   const double max_temp_c = thermal_.max_temperature().value();
   degradation_trace_.append(Seconds{now_s_}, worst_deg);
   ir_drop_trace_.append(Seconds{now_s_}, ir_drop_v);
@@ -230,7 +283,10 @@ void SystemSimulator::step() {
          {"running_cores", static_cast<double>(running_cores)},
          {"recovery_cores", static_cast<double>(recovery_cores)},
          {"em_recovery", decision.em_recovery_mode ? 1.0 : 0.0},
-         {"demand", demanded}});
+         {"demand", demanded},
+         {"violation.ir_drop", bad_drop ? 1.0 : 0.0},
+         {"violation.unpowered_core", unpowered_core ? 1.0 : 0.0},
+         {"violation.current_density", bad_j ? 1.0 : 0.0}});
   }
   was_recovering_ = recovering;
 }
@@ -270,6 +326,9 @@ void SystemSimulator::save_state(ckpt::Serializer& s) const {
   s.write_f64(first_failure_s_);
   s.write_u64(steps_);
   s.write_u64(recovery_quanta_);
+  s.write_u64(violations_.ir_drop);
+  s.write_u64(violations_.unpowered_core);
+  s.write_u64(violations_.current_density);
   s.write_bool(was_recovering_);
   s.write_f64_vec(last_good_sensor_);
   ckpt::save_engine(s, rng_.engine());
@@ -303,6 +362,9 @@ void SystemSimulator::load_state(ckpt::Deserializer& d) {
   first_failure_s_ = d.read_f64();
   steps_ = static_cast<std::size_t>(d.read_u64());
   recovery_quanta_ = static_cast<std::size_t>(d.read_u64());
+  violations_.ir_drop = static_cast<std::size_t>(d.read_u64());
+  violations_.unpowered_core = static_cast<std::size_t>(d.read_u64());
+  violations_.current_density = static_cast<std::size_t>(d.read_u64());
   was_recovering_ = d.read_bool();
   now_s_ = static_cast<double>(steps_) * params_.quantum.value();
   last_good_sensor_ = d.read_f64_vec();
@@ -352,6 +414,7 @@ SystemSummary SystemSimulator::summary() const {
   s.mean_temperature_c =
       steps_ == 0 ? 0.0 : temp_acc_ / static_cast<double>(steps_);
   s.recovery_quanta = recovery_quanta_;
+  s.invariant_violations = violations_;
   s.pdn_stats = pdn_.stats();
   return s;
 }

@@ -42,6 +42,23 @@ struct SystemParams {
   std::uint64_t seed = 42;
 };
 
+/// Quanta in which a physical invariant of the simulated state failed.
+/// `SystemSimulator::step` checks them every quantum and counts, as these
+/// states still occur in the PDN model (DESIGN.md §10); a non-finite
+/// temperature or Vth shift throws instead.
+struct InvariantViolations {
+  /// The worst IR drop was outside [0, VDD): a drop of VDD is a tile cut
+  /// off from every pad, more than VDD is no physical state.
+  std::size_t ir_drop = 0;
+  /// A core ran on a tile the PDN's last solve left unpowered.
+  std::size_t unpowered_core = 0;
+  /// A segment's |j| exceeded 40 MA/cm^2: one decade above the compact
+  /// EM model's reference density (`AgingPdn::kJRefMaPerCm2`), and above
+  /// the 12 MA/cm^2 of fig11's densest layer. The bound stands until the
+  /// compact models' calibrated envelope is measured.
+  std::size_t current_density = 0;
+};
+
 struct SystemSummary {
   /// Worst fractional fmax degradation ever observed across cores — the
   /// timing guardband a designer must provision.
@@ -56,6 +73,7 @@ struct SystemSummary {
   /// Quanta spent with active recovery in flight (see
   /// SystemSimulator::recovery_quanta).
   std::size_t recovery_quanta = 0;
+  InvariantViolations invariant_violations{};
   pdn::AgingPdnStats pdn_stats{};
 };
 
@@ -64,7 +82,8 @@ class SystemSimulator {
   SystemSimulator(SystemParams params,
                   std::unique_ptr<RecoveryPolicy> policy);
 
-  /// Advance one scheduling quantum.
+  /// Advance one scheduling quantum. Throws dh::Error, naming the tile or
+  /// core, if a temperature or Vth shift comes out non-finite.
   void step();
 
   /// Run until `lifetime` has elapsed: ceil(lifetime / quantum) steps in
@@ -134,6 +153,7 @@ class SystemSimulator {
   double temp_acc_ = 0.0;
   std::size_t steps_ = 0;
   std::size_t recovery_quanta_ = 0;
+  InvariantViolations violations_;
   bool was_recovering_ = false;  // edge detector for recovery_enter events
   double guardband_ = 0.0;
   double first_failure_s_ = -1.0;

@@ -3,13 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/arrhenius.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 
 namespace dh::sram {
 
 SramArray::SramArray(SramArrayParams params)
-    : params_(params), rng_(params.seed) {
+    : params_(params),
+      stress_bias_(
+          device::CompactBti::bias_factors(params.cell.bti, params.cell.vdd)),
+      rest_bias_(device::CompactBti::bias_factors(params.cell.bti, Volts{0.0})),
+      recover_bias_(device::CompactBti::bias_factors(
+          params.cell.bti, params.cell.recovery_bias)),
+      rng_(params.seed) {
   DH_REQUIRE(params_.cells >= 1, "array needs at least one cell");
   DH_REQUIRE(params_.p_one >= 0.0 && params_.p_one <= 1.0,
              "p_one must be a probability");
@@ -36,15 +43,28 @@ void SramArray::step(Celsius temperature, Seconds dt,
   // then every pull-up during the boost. A whole day's batches cost less
   // than one pool job, so they run serially.
   using device::CompactBti;
-  const SramCellParams& cp = params_.cell;
+  using device::CompactBtiStep;
+  const device::CompactBtiParams& bti = params_.cell.bti;
   const Seconds hold{dt.value() * (1.0 - boost_fraction)};
   const Seconds boost{dt.value() * boost_fraction};
-  const device::CompactBtiStep stress =
-      CompactBti::prepare(cp.bti, {cp.vdd, temperature}, hold);
-  const device::CompactBtiStep rest =
-      CompactBti::prepare(cp.bti, {Volts{0.0}, temperature}, hold);
-  const device::CompactBtiStep recover =
-      CompactBti::prepare(cp.bti, {cp.recovery_bias, temperature}, boost);
+  // `CompactBti::prepare(bti, condition, part)` from the bias factors
+  // fixed at construction: only the Arrhenius factors depend on the day.
+  const Kelvin t = to_kelvin(temperature);
+  const auto prepare = [&](const device::CompactBtiBias& bias,
+                           Seconds part) {
+    if (part.value() == 0.0) return CompactBtiStep{};
+    const Kelvin stress_ref = to_kelvin(bti.stress_ref.temperature);
+    const double kinetics_af = arrhenius_acceleration(
+        bti.kinetics_ea, t,
+        bias.stress ? stress_ref : to_kelvin(bti.recover_ref.temperature));
+    const double gen_af =
+        bias.stress ? arrhenius_acceleration(bti.gen_ea, t, stress_ref)
+                    : 1.0;
+    return CompactBti::prepare(bti, bias, kinetics_af, gen_af, part);
+  };
+  const CompactBtiStep stress = prepare(stress_bias_, hold);
+  const CompactBtiStep rest = prepare(rest_bias_, hold);
+  const CompactBtiStep recover = prepare(recover_bias_, boost);
   // Data re-randomization draws from one shared stream; draw order is
   // part of the array's deterministic behaviour.
   if (params_.pattern == DataPattern::kFlipping) {

@@ -50,6 +50,11 @@ class SramArray {
 
  private:
   SramArrayParams params_;
+  // The bias factors of the three gate biases a pull-up sees: vdd while
+  // stressed, 0 V while resting, and the recovery bias while boosted.
+  device::CompactBtiBias stress_bias_;
+  device::CompactBtiBias rest_bias_;
+  device::CompactBtiBias recover_bias_;
   std::vector<SramCell> cells_;
   std::vector<bool> bits_;
   Rng rng_;

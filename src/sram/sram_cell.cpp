@@ -43,30 +43,25 @@ Volts SramCell::right_pmos_dvth() const { return right_pmos_.delta_vth(); }
 std::vector<double> inverter_vtc(const SramCellParams& params,
                                  Volts pmos_dvth, Volts nmos_dvth,
                                  const std::vector<double>& vin) {
-  std::vector<double> out;
-  out.reserve(vin.size());
-  for (const double v : vin) {
-    circuit::Circuit c;
-    const auto vdd = c.add_node("vdd");
-    const auto in = c.add_node("in");
-    const auto o = c.add_node("out");
-    (void)c.add_voltage_source(vdd, circuit::Circuit::ground(),
-                               circuit::Waveform::dc(params.vdd.value()));
-    (void)c.add_voltage_source(in, circuit::Circuit::ground(),
-                               circuit::Waveform::dc(v));
-    circuit::MosfetParams p;
-    p.polarity = circuit::MosPolarity::kPmos;
-    p.vth = params.pmos_vth + pmos_dvth.value();
-    p.beta = params.pmos_beta;
-    circuit::MosfetParams n;
-    n.polarity = circuit::MosPolarity::kNmos;
-    n.vth = params.nmos_vth + nmos_dvth.value();
-    n.beta = params.nmos_beta;
-    c.add_mosfet(p, in, o, vdd);
-    c.add_mosfet(n, in, o, circuit::Circuit::ground());
-    out.push_back(c.solve_dc().voltage(o));
-  }
-  return out;
+  circuit::Circuit c;
+  const auto vdd = c.add_node("vdd");
+  const auto in = c.add_node("in");
+  const auto o = c.add_node("out");
+  (void)c.add_voltage_source(vdd, circuit::Circuit::ground(),
+                             circuit::Waveform::dc(params.vdd.value()));
+  const circuit::VsourceId vin_source = c.add_voltage_source(
+      in, circuit::Circuit::ground(), circuit::Waveform::dc(0.0));
+  circuit::MosfetParams p;
+  p.polarity = circuit::MosPolarity::kPmos;
+  p.vth = params.pmos_vth + pmos_dvth.value();
+  p.beta = params.pmos_beta;
+  circuit::MosfetParams n;
+  n.polarity = circuit::MosPolarity::kNmos;
+  n.vth = params.nmos_vth + nmos_dvth.value();
+  n.beta = params.nmos_beta;
+  c.add_mosfet(p, in, o, vdd);
+  c.add_mosfet(n, in, o, circuit::Circuit::ground());
+  return c.solve_dc_sweep(vin_source, vin, o);
 }
 
 namespace {
@@ -89,6 +84,30 @@ InverseVtc invert_decreasing(const std::vector<double>& xs,
   return inv;
 }
 
+/// `math::interp_linear` over one table, bit for bit, for a run of
+/// non-decreasing probes: the bracket is walked forward from the previous
+/// probe's instead of searched.
+class TableWalk {
+ public:
+  TableWalk(const std::vector<double>& xs, const std::vector<double>& ys)
+      : xs_(xs), ys_(ys) {}
+
+  double at(double x) {
+    if (x <= xs_.front()) return ys_.front();
+    if (x >= xs_.back()) return ys_.back();
+    // hi: the first entry above x, as upper_bound finds it.
+    while (xs_[hi_] <= x) ++hi_;
+    const std::size_t lo = hi_ - 1;
+    const double w = (x - xs_[lo]) / (xs_[hi_] - xs_[lo]);
+    return ys_[lo] * (1.0 - w) + ys_[hi_] * w;
+  }
+
+ private:
+  const std::vector<double>& xs_;
+  const std::vector<double>& ys_;
+  std::size_t hi_ = 1;
+};
+
 /// Largest square of side s that fits in the lobe where curve A
 /// (y = f_a(x)) lies above the inverse of curve B. Both boundaries are
 /// decreasing, so the square [x, x+s] x [y, y+s] fits iff
@@ -99,10 +118,13 @@ double lobe_square(const std::vector<double>& vin,
   const double vmax = vin.back();
   const InverseVtc inv_b = invert_decreasing(vin, f_b);
   auto fits = [&](double s) {
+    // The probes x and x + s rise with k, so each table is walked once.
+    TableWalk top_of(vin, f_a);
+    TableWalk bottom_of(inv_b.f, inv_b.x);
     for (int k = 0; k <= 160; ++k) {
       const double x = (vmax - s) * k / 160.0;
-      const double top = math::interp_linear(vin, f_a, x + s);
-      const double bottom = math::interp_linear(inv_b.f, inv_b.x, x);
+      const double top = top_of.at(x + s);
+      const double bottom = bottom_of.at(x);
       if (top - bottom >= s) return true;
     }
     return false;

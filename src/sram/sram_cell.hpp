@@ -83,8 +83,8 @@ class SramCell {
                                    const std::vector<double>& vtc1,
                                    const std::vector<double>& vtc2);
 
-/// Inverter VTC with aged device thresholds, solved point by point with
-/// the MNA simulator.
+/// Inverter VTC with aged device thresholds: one MNA DC sweep of the
+/// input over `vin` (`circuit::Circuit::solve_dc_sweep`).
 [[nodiscard]] std::vector<double> inverter_vtc(
     const SramCellParams& params, Volts pmos_dvth, Volts nmos_dvth,
     const std::vector<double>& vin);

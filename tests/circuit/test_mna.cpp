@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -171,6 +173,103 @@ TEST(Mna, KirchhoffCurrentBalance) {
   const double i_x = (sol.voltage(s) - sol.voltage(x)) / 100.0;
   const double i_y = (sol.voltage(s) - sol.voltage(y)) / 200.0;
   EXPECT_NEAR(i_src, i_x + i_y, 1e-6);
+}
+
+/// A CMOS inverter whose input source is held at `vin`.
+struct Inverter {
+  Circuit c;
+  VsourceId input{};
+  NodeId out = 0;
+};
+
+Inverter make_inverter(double vin) {
+  Inverter inv;
+  const NodeId vdd = inv.c.add_node("vdd");
+  const NodeId in = inv.c.add_node("in");
+  inv.out = inv.c.add_node("out");
+  (void)inv.c.add_voltage_source(vdd, Circuit::ground(), Waveform::dc(1.0));
+  inv.input = inv.c.add_voltage_source(in, Circuit::ground(), Waveform::dc(vin));
+  MosfetParams p;
+  p.polarity = MosPolarity::kPmos;
+  inv.c.add_mosfet(p, in, inv.out, vdd);
+  inv.c.add_mosfet(MosfetParams{}, in, inv.out, Circuit::ground());
+  return inv;
+}
+
+TEST(MnaSweep, OneValueSweepIsSolveDcBitForBit) {
+  // The first point of a sweep is solve_dc's gmin ladder from 0 V.
+  for (const double vin : {0.0, 0.37, 0.5, 1.0}) {
+    const Inverter inv = make_inverter(vin);
+    const double v = inv.c.solve_dc().voltage(inv.out);
+    const std::vector<double> sweep =
+        inv.c.solve_dc_sweep(inv.input, std::vector<double>{vin}, inv.out);
+    ASSERT_EQ(sweep.size(), 1u);
+    EXPECT_EQ(sweep[0], v) << "vin " << vin;
+  }
+}
+
+TEST(MnaSweep, WarmStartsAgreeWithPerPointSolves) {
+  // Continuation from the previous point, in either direction, lands on
+  // the per-point operating point to well inside Newton's 1e-9 V
+  // tolerance, through the inverter's high-gain transition too.
+  std::vector<double> up;
+  for (int i = 0; i <= 100; ++i) up.push_back(i / 100.0);
+  const std::vector<double> down(up.rbegin(), up.rend());
+  for (const std::vector<double>& values : {up, down}) {
+    const Inverter inv = make_inverter(0.0);
+    const std::vector<double> sweep =
+        inv.c.solve_dc_sweep(inv.input, values, inv.out);
+    ASSERT_EQ(sweep.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const Inverter point = make_inverter(values[i]);
+      EXPECT_NEAR(sweep[i], point.c.solve_dc().voltage(point.out), 1e-9)
+          << "vin " << values[i];
+    }
+  }
+}
+
+TEST(MnaSweep, FailedWarmStartFallsBackToTheLadder) {
+  // Newton limits a node's update to 0.5 V per iteration and gives up
+  // after 200. From the +60 V point, the -60 V point is 240 damped
+  // iterations away, so its warm start fails; the ladder from 0 V needs
+  // 120 and converges. The point is then solve_dc's, bit for bit.
+  Circuit c;
+  const NodeId a = c.add_node("a");
+  const NodeId b = c.add_node("b");
+  const VsourceId vs =
+      c.add_voltage_source(a, Circuit::ground(), Waveform::dc(0.0));
+  c.add_resistor(a, b, Ohms{1000.0});
+  c.add_resistor(b, Circuit::ground(), Ohms{3000.0});
+  const std::vector<double> sweep =
+      c.solve_dc_sweep(vs, std::vector<double>{60.0, -60.0}, b);
+  ASSERT_EQ(sweep.size(), 2u);
+  Circuit ref;
+  const NodeId ra = ref.add_node("a");
+  const NodeId rb = ref.add_node("b");
+  (void)ref.add_voltage_source(ra, Circuit::ground(), Waveform::dc(-60.0));
+  ref.add_resistor(ra, rb, Ohms{1000.0});
+  ref.add_resistor(rb, Circuit::ground(), Ohms{3000.0});
+  EXPECT_EQ(sweep[1], ref.solve_dc().voltage(rb));
+  EXPECT_NEAR(sweep[0], 45.0, 1e-6);
+  EXPECT_NEAR(sweep[1], -45.0, 1e-6);
+}
+
+TEST(MnaSweep, RejectsAForeignSourceOrProbe) {
+  const Inverter inv = make_inverter(0.0);
+  const std::vector<double> values{0.0, 0.5};
+  const auto message = [&](VsourceId source, NodeId probe) {
+    try {
+      (void)inv.c.solve_dc_sweep(source, values, probe);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message(VsourceId{2}, inv.out).find("source 2"),
+            std::string::npos);
+  EXPECT_NE(message(inv.input, 4).find("probe node 4"), std::string::npos);
+  EXPECT_EQ(inv.c.solve_dc_sweep(inv.input, values, Circuit::ground()),
+            (std::vector<double>{0.0, 0.0}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "sched/policy.hpp"
 #include "sched/system_sim.hpp"
@@ -51,6 +53,41 @@ TEST(ObsTraceReport, ReproducesRecoveryQuantaFromARecordedRun) {
   EXPECT_EQ(group->second.fields.count("worst_deg"), 1u);
 }
 
+TEST(ObsTraceReport, ReproducesInvariantViolationsFromARecordedRun) {
+  const std::string path =
+      testing::TempDir() + "dh_obs_report_invariants.jsonl";
+  obs::set_trace_sink(std::make_unique<obs::JsonlTraceSink>(path));
+  // A hot 3x3 chip on 0.1 um PDN segments violates all three checks
+  // within its first days.
+  sched::SystemParams params;
+  params.rows = 3;
+  params.cols = 3;
+  params.quantum = hours(24.0);
+  params.core.dynamic_power_peak = Watts{2.2};
+  params.thermal.ambient = Celsius{55.0};
+  params.thermal.vertical_g_w_per_k = 0.07;
+  params.pdn.segment_wire.width = Meters{0.1e-6};
+  sched::SystemSimulator sim{params, sched::make_no_recovery_policy()};
+  for (int i = 0; i < 10; ++i) sim.step();
+  obs::set_trace_sink(nullptr);
+
+  std::ifstream in(path);
+  const obs::TraceReport report = obs::analyze_trace(in);
+  const sched::InvariantViolations v = sim.summary().invariant_violations;
+  EXPECT_GT(v.unpowered_core, 0u);
+  const auto& counts = report.sim_invariant_violations;
+  ASSERT_EQ(counts.size(), 3u);
+  EXPECT_EQ(counts.at("ir_drop"), v.ir_drop);
+  EXPECT_EQ(counts.at("unpowered_core"), v.unpowered_core);
+  EXPECT_EQ(counts.at("current_density"), v.current_density);
+  std::ostringstream os;
+  obs::print_trace_report(os, report);
+  EXPECT_NE(os.str().find("unpowered_core         " +
+                          std::to_string(v.unpowered_core)),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(ObsTraceReport, CountsMalformedLinesAndKeepsGoodOnes) {
   std::istringstream in(
       "{\"cat\":\"sim\",\"name\":\"quantum\",\"t_wall_ms\":1,"
@@ -85,6 +122,28 @@ TEST(ObsTraceReport, SummarisesFieldsAndWallSpan) {
   EXPECT_DOUBLE_EQ(field->second.max, 100.0);
   EXPECT_NEAR(field->second.p50, 50.0, 1.0);
   EXPECT_NEAR(field->second.p95, 95.0, 1.0);
+}
+
+TEST(ObsTraceReport, PercentilesMatchStatsPercentile) {
+  // One sort per field: p50 and p95 come from the sorted values with
+  // stats::percentile's interpolation, bit for bit, at sizes whose
+  // percentile positions fall on and between order statistics.
+  Rng rng{11};
+  for (const int n : {1, 2, 3, 7, 20, 21, 101, 250}) {
+    std::vector<double> values(static_cast<std::size_t>(n));
+    std::ostringstream trace;
+    for (int i = 0; i < n; ++i) {
+      // Rounded to 1/8 so the sample has ties and prints exactly.
+      values[i] = std::round(rng.uniform(-50.0, 50.0) * 8.0) / 8.0;
+      trace << "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":" << i
+            << ",\"f\":{\"v\":" << values[i] << "}}\n";
+    }
+    std::istringstream in(trace.str());
+    const obs::TraceReport report = obs::analyze_trace(in);
+    const obs::TraceFieldSummary& f = report.groups.at("a/x").fields.at("v");
+    EXPECT_EQ(f.p50, stats::percentile(values, 0.50)) << "n " << n;
+    EXPECT_EQ(f.p95, stats::percentile(values, 0.95)) << "n " << n;
+  }
 }
 
 TEST(ObsTraceReport, AttributesWallTimeToTheEarlierEventsCategory) {

@@ -45,6 +45,11 @@ void expect_bit_identical(const SystemSummary& a, const SystemSummary& b) {
   EXPECT_EQ(a.energy_joules, b.energy_joules);
   EXPECT_EQ(a.mean_temperature_c, b.mean_temperature_c);
   EXPECT_EQ(a.recovery_quanta, b.recovery_quanta);
+  EXPECT_EQ(a.invariant_violations.ir_drop, b.invariant_violations.ir_drop);
+  EXPECT_EQ(a.invariant_violations.unpowered_core,
+            b.invariant_violations.unpowered_core);
+  EXPECT_EQ(a.invariant_violations.current_density,
+            b.invariant_violations.current_density);
   EXPECT_EQ(a.pdn_stats.worst_drop_v, b.pdn_stats.worst_drop_v);
   EXPECT_EQ(a.pdn_stats.max_void_len_m, b.pdn_stats.max_void_len_m);
   EXPECT_EQ(a.pdn_stats.nucleated_segments, b.pdn_stats.nucleated_segments);

@@ -113,6 +113,8 @@ TEST(Pdn, Validation) {
   p.pad_nodes = {999};
   EXPECT_THROW(PdnGrid{p}, Error);
   PdnGrid g = make_grid();
+  EXPECT_FALSE(g.powered(0));  // no solve yet
+  EXPECT_THROW((void)g.powered(g.node_count()), Error);
   const auto r = g.fresh_segment_resistances(Celsius{85.0});
   EXPECT_THROW((void)g.solve(std::vector<double>{1.0}, r), Error);
   // A non-finite load must not come back as NaN voltages.

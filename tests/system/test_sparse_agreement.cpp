@@ -180,6 +180,7 @@ TEST(SparseAgreement, OpenSegmentsCutNodesOffExactly) {
 
     double delivered = 0.0;
     for (std::size_t i = 0; i < grid.node_count(); ++i) {
+      EXPECT_EQ(grid.powered(i), !unpowered[i]) << name << " node " << i;
       if (unpowered[i]) {
         EXPECT_EQ(sparse.node_voltage[i], 0.0) << name << " node " << i;
       } else {

@@ -95,6 +95,22 @@ TEST(SramSnm, MatchesPerProbeInversionOracle) {
   }
 }
 
+TEST(SramSnm, InverterVtcFallsMonotonically) {
+  // The sweep's warm starts follow one branch: each VTC starts near vdd,
+  // ends near 0 V and never rises, from a leaky to a badly aged pull-up.
+  const SramCellParams p;
+  const auto vin = math::linspace(0.0, p.vdd.value(), 41);
+  for (const double dvth : {-0.1, 0.0, 0.06, 0.3}) {
+    const auto vtc = inverter_vtc(p, Volts{dvth}, Volts{0.0}, vin);
+    ASSERT_EQ(vtc.size(), vin.size());
+    EXPECT_GT(vtc.front(), 0.95 * p.vdd.value()) << "dvth " << dvth;
+    EXPECT_LT(vtc.back(), 0.05 * p.vdd.value()) << "dvth " << dvth;
+    for (std::size_t i = 1; i < vtc.size(); ++i) {
+      EXPECT_LE(vtc[i], vtc[i - 1]) << "dvth " << dvth << " point " << i;
+    }
+  }
+}
+
 TEST(SramSnm, FreshCellInPhysicalRange) {
   const SramCell cell = make_cell();
   const double snm = cell.fresh_snm().value();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -239,6 +240,78 @@ TEST(SystemSim, SensorOutliersFallBackToLastGoodReading) {
   EXPECT_TRUE(std::isfinite(s.availability));
   EXPECT_TRUE(std::isfinite(s.energy_joules));
   EXPECT_GE(s.guardband_fraction, 0.0);
+}
+
+/// A hot 3x3 chip (fig12's power and package) on a PDN of 0.1 um wide
+/// segments at 1-day quanta: from the first quantum the drop exceeds VDD
+/// and the current density the check's bound, and within days EM opens
+/// every segment around the centre tile while its core runs.
+SystemParams overloaded_mesh() {
+  SystemParams p;
+  p.rows = 3;
+  p.cols = 3;
+  p.quantum = hours(24.0);
+  p.workload.utilization = 0.8;
+  p.core.dynamic_power_peak = Watts{2.2};
+  p.thermal.ambient = Celsius{55.0};
+  p.thermal.vertical_g_w_per_k = 0.07;
+  p.pdn.segment_wire.width = Meters{0.1e-6};
+  return p;
+}
+
+TEST(SystemSim, OverloadedMeshCountsEachInvariantViolation) {
+  const auto counter = [](const char* name) -> const obs::Counter& {
+    return obs::registry().counter(
+        std::string("sim.invariant_violations.") + name);
+  };
+  const obs::Counter& drop = counter("ir_drop");
+  const obs::Counter& unpowered = counter("unpowered_core");
+  const obs::Counter& density = counter("current_density");
+  const std::uint64_t before[] = {drop.value(), unpowered.value(),
+                                  density.value()};
+
+  SystemSimulator sim{overloaded_mesh(), make_no_recovery_policy()};
+  constexpr std::size_t kQuanta = 10;
+  for (std::size_t q = 0; q < kQuanta; ++q) sim.step();
+  const InvariantViolations v = sim.summary().invariant_violations;
+  EXPECT_GT(v.ir_drop, 0u);
+  EXPECT_GT(v.unpowered_core, 0u);
+  EXPECT_GT(v.current_density, 0u);
+  EXPECT_LE(v.ir_drop, kQuanta);
+  EXPECT_LE(v.unpowered_core, kQuanta);
+  EXPECT_LE(v.current_density, kQuanta);
+  EXPECT_EQ(drop.value() - before[0], v.ir_drop);
+  EXPECT_EQ(unpowered.value() - before[1], v.unpowered_core);
+  EXPECT_EQ(density.value() - before[2], v.current_density);
+}
+
+TEST(SystemSim, WidePdnHasNoInvariantViolations) {
+  SystemParams p;
+  p.rows = 3;
+  p.cols = 3;
+  p.pdn.segment_wire.width = Meters{50e-6};
+  SystemSimulator sim{p, make_no_recovery_policy()};
+  sim.run(days(10.0));
+  const InvariantViolations v = sim.summary().invariant_violations;
+  EXPECT_EQ(v.ir_drop, 0u);
+  EXPECT_EQ(v.unpowered_core, 0u);
+  EXPECT_EQ(v.current_density, 0u);
+}
+
+TEST(SystemSim, NonFiniteTemperatureThrowsANamedError) {
+  // A NaN ambient leaves every power finite (leakage saturates), so the
+  // first non-finite value is the solved tile temperature.
+  SystemParams p = small_system();
+  p.thermal.ambient = Celsius{std::numeric_limits<double>::quiet_NaN()};
+  SystemSimulator sim{p, make_no_recovery_policy()};
+  try {
+    sim.step();
+    FAIL() << "a NaN temperature was carried on";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite temperature at tile 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //
 // Prints per-category event counts with an attributed wall-time breakdown,
 // per-event-group field summaries (p50/p95/max), and — when the trace
-// contains sim/quantum events — the exact recovery-quanta count the
-// simulator reported while recording.
+// contains sim/quantum events — the exact recovery-quanta and
+// invariant-violation counts the simulator reported while recording.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
                  "Summarizes a JSONL trace recorded via DH_TRACE=<path>:\n"
                  "  - event counts per category, wall-time breakdown\n"
                  "  - per-group field histogram summaries (p50/p95/max)\n"
-                 "  - scheduler recovery-quanta reconstruction\n");
+                 "  - scheduler recovery-quanta reconstruction\n"
+                 "  - invariant-violation counts (quanta)\n");
     return argc == 2 ? 0 : 2;
   }
 
