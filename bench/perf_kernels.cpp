@@ -4,12 +4,14 @@
 //   perf_kernels --benchmark_out=k.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "circuit/assist.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
 #include "device/compact_bti.hpp"
@@ -294,6 +296,28 @@ void BM_SystemSimStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SystemSimStep)->Arg(2)->Arg(4)->Arg(8);
+
+// One em_population wire's process-variation draw: a fresh child stream
+// and its two lognormals (diffusivity, critical stress). Mostly the cost
+// of seeding and twisting the engine's first chunk.
+void BM_RngStreamWireDraw(benchmark::State& state) {
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    Rng r = Rng::stream(1, index++);
+    benchmark::DoNotOptimize(r.lognormal(0.0, 0.25));
+    benchmark::DoNotOptimize(r.lognormal(0.0, 0.10));
+  }
+}
+BENCHMARK(BM_RngStreamWireDraw);
+
+// Steady-state cost of one engine draw, whole 312-word blocks included.
+void BM_RngDraw(benchmark::State& state) {
+  Rng r{Rng::stream_seed(1, 0)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(r.engine()());
+  }
+}
+BENCHMARK(BM_RngDraw);
 
 }  // namespace
 

@@ -172,13 +172,13 @@ void Deserializer::expect_section(const char (&tag)[5]) {
   pos_ += 4;
 }
 
-void save_engine(Serializer& s, const std::mt19937_64& engine) {
+void save_engine(Serializer& s, const Mt19937_64& engine) {
   std::ostringstream os;
   os << engine;
   s.write_string(os.str());
 }
 
-void load_engine(Deserializer& d, std::mt19937_64& engine) {
+void load_engine(Deserializer& d, Mt19937_64& engine) {
   std::istringstream is(d.read_string());
   is >> engine;
   if (!is) {

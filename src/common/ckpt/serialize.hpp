@@ -13,10 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace dh::ckpt {
 
@@ -80,10 +81,11 @@ class Deserializer {
   std::size_t pos_ = 0;
 };
 
-/// Serialize an mt19937_64 engine (the state behind dh::Rng) exactly: the
-/// standard guarantees operator<</>> round-trips the full 19937-bit state,
-/// so the restored stream continues bit-identically.
-void save_engine(Serializer& s, const std::mt19937_64& engine);
-void load_engine(Deserializer& d, std::mt19937_64& engine);
+/// Serialize the engine behind dh::Rng exactly, in std::mt19937_64's text
+/// format (see Mt19937_64's operator<<), so the restored stream continues
+/// bit-identically and the text equals the standard engine's at the same
+/// stream position.
+void save_engine(Serializer& s, const Mt19937_64& engine);
+void load_engine(Deserializer& d, Mt19937_64& engine);
 
 }  // namespace dh::ckpt

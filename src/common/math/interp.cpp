@@ -11,6 +11,8 @@ double interp_linear(std::span<const double> xs, std::span<const double> ys,
                      double x) {
   DH_REQUIRE(xs.size() == ys.size() && xs.size() >= 2,
              "interpolation table needs >= 2 matched points");
+  // A NaN fails both clamps below, and upper_bound then returns end().
+  DH_REQUIRE(std::isfinite(x), "interpolation point must be finite");
   if (x <= xs.front()) return ys.front();
   if (x >= xs.back()) return ys.back();
   const auto it = std::upper_bound(xs.begin(), xs.end(), x);

@@ -1,5 +1,5 @@
-// Piecewise-linear interpolation on tabulated functions and 1-D grids —
-// used by the trap-density calibration and the Korhonen grid.
+// Piecewise-linear interpolation on tabulated functions (PWL waveforms)
+// and 1-D grids (the Korhonen grid).
 #pragma once
 
 #include <span>
@@ -8,7 +8,7 @@
 namespace dh::math {
 
 /// Linear interpolation of (xs, ys) at x, clamped to the table range.
-/// xs must be strictly increasing.
+/// xs must be strictly increasing; a non-finite x throws dh::Error.
 [[nodiscard]] double interp_linear(std::span<const double> xs,
                                    std::span<const double> ys, double x);
 

@@ -4,9 +4,11 @@
 // every simulation, test, and benchmark is reproducible from its seed.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <random>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -27,6 +29,62 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 inline constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
 }  // namespace detail
+
+/// MT19937-64 with exactly std::mt19937_64's output sequence, which
+/// [rand.eng.mers] fixes; tests pin it against std::mt19937_64. It is
+/// hand-rolled because Rng::stream engines are mostly fresh and short-lived
+/// (a population draw makes a handful of draws from each), and
+/// std::mt19937_64 makes a fresh engine expensive: seeding fills all 312
+/// state words and the first draw twists all 312. Here a fresh engine
+/// seeds only the words its first kFirstChunk outputs depend on and twists
+/// that chunk on the first draw; reaching the end of the chunk seeds and
+/// twists the rest of the block at once, and every later block is twisted
+/// whole. Twisting word by word in order is the same arithmetic as the
+/// standard's batch twist, so the outputs cannot differ.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed = 5489u);
+
+  result_type operator()() {
+    if (p_ >= ready_) refill();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+  /// std::mt19937_64's text format (312 state words, then the index; 312
+  /// for a fresh engine), so the text equals the standard engine's at the
+  /// same stream position and either engine loads the other's text. A lazy
+  /// first block is completed on a copy before writing. Reading an index
+  /// above 312 sets failbit and leaves the engine unchanged.
+  friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
+  friend std::istream& operator>>(std::istream& is, Mt19937_64& e);
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::size_t kFirstChunk = 16;
+
+  void refill();
+  /// Seed x_[seeded_, end) from x_[seeded_ - 1].
+  void seed_to(std::size_t end);
+  /// Twist x_[from, to) in order.
+  void twist(std::size_t from, std::size_t to);
+  /// Seed and twist the rest of a lazy first block, leaving the state
+  /// std::mt19937_64 has at the same stream position.
+  void complete_block();
+
+  std::array<result_type, kN> x_{};
+  std::size_t p_ = 0;       // next word to output
+  std::size_t ready_ = 0;   // x_[0, ready_) is twisted
+  std::size_t seeded_ = 0;  // x_[0, seeded_) is live; kN once complete
+};
 
 class Rng {
  public:
@@ -86,11 +144,11 @@ class Rng {
     return Rng{stream_seed(root_seed, index)};
   }
 
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
-  [[nodiscard]] const std::mt19937_64& engine() const { return engine_; }
+  [[nodiscard]] Mt19937_64& engine() { return engine_; }
+  [[nodiscard]] const Mt19937_64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace dh

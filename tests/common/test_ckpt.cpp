@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,14 +102,84 @@ TEST(Serializer, ReadPastEndThrows) {
 }
 
 TEST(Serializer, EngineRoundTripContinuesBitIdentically) {
-  std::mt19937_64 a{12345};
+  Mt19937_64 a{12345};
   for (int i = 0; i < 1000; ++i) (void)a();  // advance mid-stream
   Serializer s;
   save_engine(s, a);
-  std::mt19937_64 b;  // different state on purpose
+  Mt19937_64 b;  // different state on purpose
   Deserializer d{s.take()};
   load_engine(d, b);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
+}
+
+// The engine text is std::mt19937_64's, at four stream positions: fresh,
+// inside the lazy first chunk, mid-block and exactly at a block boundary.
+constexpr int kEnginePositions[] = {0, 5, 200, 312};
+
+TEST(Serializer, EngineTextEqualsTheStdEngineAtTheSamePosition) {
+  for (const int at : kEnginePositions) {
+    Mt19937_64 ours{31337};
+    std::mt19937_64 oracle{31337};
+    for (int i = 0; i < at; ++i) {
+      (void)ours();
+      (void)oracle();
+    }
+    std::ostringstream want;
+    want << oracle;
+    Serializer s;
+    save_engine(s, ours);
+    Deserializer d{s.take()};
+    EXPECT_EQ(d.read_string(), want.str()) << "position " << at;
+    // Writing completes the lazy block on a copy: the engine is unchanged.
+    for (int i = 0; i < 700; ++i) ASSERT_EQ(ours(), oracle());
+  }
+}
+
+TEST(Serializer, StdEngineTextLoadsAndContinuesIdentically) {
+  for (const int at : kEnginePositions) {
+    std::mt19937_64 oracle{99};
+    for (int i = 0; i < at; ++i) (void)oracle();
+    std::ostringstream text;
+    text << oracle;
+    Serializer s;
+    s.write_string(text.str());
+    Mt19937_64 ours{1};
+    Deserializer d{s.take()};
+    load_engine(d, ours);
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(ours(), oracle()) << "position " << at << ", draw " << i;
+    }
+  }
+}
+
+TEST(Serializer, EngineTextLoadsIntoTheStdEngineAndContinuesIdentically) {
+  for (const int at : kEnginePositions) {
+    Mt19937_64 ours{99};
+    for (int i = 0; i < at; ++i) (void)ours();
+    Serializer s;
+    save_engine(s, ours);
+    Deserializer d{s.take()};
+    std::istringstream text(d.read_string());
+    std::mt19937_64 oracle{1};
+    text >> oracle;
+    ASSERT_TRUE(text) << "position " << at;
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(oracle(), ours()) << "position " << at << ", draw " << i;
+    }
+  }
+}
+
+TEST(Serializer, EngineTextWithAnIndexPastTheBlockIsCorrupt) {
+  std::ostringstream text;
+  text << std::mt19937_64{7};  // index 312
+  std::string bad = text.str();
+  bad.replace(bad.rfind(' ') + 1, std::string::npos, "313");
+  Serializer s;
+  s.write_string(bad);
+  Mt19937_64 e{5};
+  Deserializer d{s.take()};
+  EXPECT_THROW(load_engine(d, e), Error);
+  EXPECT_EQ(e(), Mt19937_64{5}());  // left unchanged
 }
 
 TEST_F(CkptTest, SnapshotRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace dh::math {
@@ -21,6 +24,22 @@ TEST(Interp, RejectsMismatchedTables) {
   EXPECT_THROW((void)interp_linear(std::vector<double>{0.0, 1.0},
                                    std::vector<double>{0.0}, 0.5),
                Error);
+}
+
+TEST(Interp, RejectsANonFinitePointByName) {
+  const std::vector<double> xs{0.0, 1.0, 3.0};
+  const std::vector<double> ys{0.0, 2.0, 6.0};
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    try {
+      (void)interp_linear(xs, ys, x);
+      FAIL() << "expected dh::Error for x = " << x;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("interpolation point must be finite"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(Linspace, EndpointsAndSpacing) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -10,6 +11,93 @@
 
 namespace dh {
 namespace {
+
+// std::mt19937_64 is the oracle: Mt19937_64 must produce its sequence
+// exactly, through the lazy first block (16 words), the twist's wrap at
+// word 156, the block boundary at 312 and the next block at 624.
+TEST(RngEngine, MatchesStdEngineForEverySeedAcrossBlocks) {
+  const std::uint64_t seeds[] = {0u, 1u, 5489u, 12345u, ~std::uint64_t{0},
+                                 0x9E3779B97F4A7C15ull};
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 oracle{seed};
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(ours(), oracle()) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(RngEngine, FreshEnginesMatchAtEveryLengthAroundTheBoundaries) {
+  for (const int n : {1, 15, 16, 17, 155, 156, 157, 311, 312, 313, 623, 624,
+                      625}) {
+    Mt19937_64 ours{777};
+    std::mt19937_64 oracle{777};
+    std::uint64_t a = 0, b = 0;
+    for (int i = 0; i < n; ++i) {
+      a = ours();
+      b = oracle();
+    }
+    EXPECT_EQ(a, b) << "draw " << n;
+    EXPECT_EQ(ours(), oracle()) << "draw " << n + 1;
+  }
+}
+
+TEST(RngEngine, TenThousandthOutputOfTheDefaultSeedIsTheStandardValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 e;
+  for (int i = 0; i < 9999; ++i) (void)e();
+  EXPECT_EQ(e(), 9981545732273789042ull);
+}
+
+TEST(RngEngine, CopiesContinueIdentically) {
+  // Copies before the first draw (perfbench's `Rng r2 = r1`), inside and
+  // at the end of the lazy first chunk, mid-block and at a block boundary.
+  for (const int at : {0, 5, 16, 200, 312}) {
+    Mt19937_64 a{42};
+    std::mt19937_64 oracle{42};
+    for (int i = 0; i < at; ++i) {
+      (void)a();
+      (void)oracle();
+    }
+    Mt19937_64 b = a;
+    Mt19937_64 c{1};
+    c = a;
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t want = oracle();
+      ASSERT_EQ(a(), want) << "copied at " << at << ", draw " << i;
+      ASSERT_EQ(b(), want) << "copied at " << at << ", draw " << i;
+      ASSERT_EQ(c(), want) << "copied at " << at << ", draw " << i;
+    }
+  }
+}
+
+TEST(Rng, EveryDistributionMatchesTheStdDistributionOverTheStdEngine) {
+  // Interleaved so the draws cross the lazy first chunk and two blocks.
+  Rng r{2024};
+  std::mt19937_64 e{2024};
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_EQ(r.uniform(), (std::uniform_real_distribution<double>{0.0, 1.0}(e)));
+    ASSERT_EQ(r.uniform(-2.0, 3.0),
+              (std::uniform_real_distribution<double>{-2.0, 3.0}(e)));
+    ASSERT_EQ(r.uniform_int(-5, 1000),
+              (std::uniform_int_distribution<int>{-5, 1000}(e)));
+    ASSERT_EQ(r.normal(1.0, 0.5),
+              (std::normal_distribution<double>{1.0, 0.5}(e)));
+    ASSERT_EQ(r.lognormal(0.3, 0.2),
+              (std::lognormal_distribution<double>{0.3, 0.2}(e)));
+    ASSERT_EQ(r.exponential(2.5),
+              (std::exponential_distribution<double>{2.5}(e)));
+    ASSERT_EQ(r.bernoulli(0.3), (std::bernoulli_distribution{0.3}(e)));
+  }
+  // Rng::stream is an engine seeded with stream_seed.
+  Rng s = Rng::stream(9, 4);
+  std::mt19937_64 se{Rng::stream_seed(9, 4)};
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(s.lognormal(0.0, 0.1),
+              (std::lognormal_distribution<double>{0.0, 0.1}(se)));
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{123}, b{123};
