@@ -1,9 +1,7 @@
 #include "em/compact_em.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <numbers>
 
@@ -92,15 +90,17 @@ CompactEm::StepCoeffs CompactEm::prepare(Kelvin t, Seconds dt) const {
   return c;
 }
 
-CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
-  const auto kelvin_bits = std::bit_cast<std::uint64_t>(t.value());
-  const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
-  for (StepCoeffs& c : memo_) {
-    if (std::bit_cast<std::uint64_t>(c.dt_s) == dt_bits &&
-        std::bit_cast<std::uint64_t>(c.kelvin) == kelvin_bits) {
-      return c;
-    }
-  }
+void CompactEm::reject_step(AmpsPerM2 j, Celsius temperature) {
+  DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
+  DH_REQUIRE(std::isfinite(temperature.value()),
+             "temperature must be finite");
+  // j and T are finite, so dt failed the inline test.
+  detail::raise_requirement("std::isfinite(dt) && dt >= 0.0", __FILE__,
+                            __LINE__,
+                            "time step must be finite and non-negative");
+}
+
+CompactEm::StepCoeffs& CompactEm::fill_memo(Kelvin t, Seconds dt) {
   // A throwing prepare (T <= 0 K) leaves the slot as it was.
   StepCoeffs& c = memo_[memo_next_];
   c = prepare(t, dt);
@@ -108,16 +108,13 @@ CompactEm::StepCoeffs& CompactEm::coeffs(Kelvin t, Seconds dt) {
   return c;
 }
 
-void CompactEm::step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
-  DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
-  require_condition(temperature.value(), dt.value());
-  if (dt.value() == 0.0 || broken_) return;
-  step(j, coeffs(to_kelvin(temperature), dt));
-}
-
 void CompactEm::step(AmpsPerM2 j, StepCoeffs& c) {
   DH_REQUIRE(std::isfinite(j.value()), "current density must be finite");
   if (c.dt_s == 0.0 || broken_) return;
+  advance(j, c);
+}
+
+void CompactEm::advance(AmpsPerM2 j, StepCoeffs& c) {
   const double g = c.ezr * j.value() / params_.material.atomic_volume_m3;
 
   // Pool targets follow the signed driving force; while a void is open the

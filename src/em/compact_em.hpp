@@ -15,12 +15,16 @@
 // params: a PDN steps all its segments at one (T, dt) on one prepare.
 // `step(j, T, dt)` keeps them for its last two conditions, so a periodic
 // forward/reverse recovery schedule, which alternates exactly two, pays
-// for them once per condition instead of once per step. Results are
-// bit-identical to recomputing them (DESIGN.md §7).
+// for them once per condition instead of once per step. Its input checks
+// and memo hit are inline: a caller that steps at fixed conditions folds
+// them. Results are bit-identical to recomputing them (DESIGN.md §7).
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/units.hpp"
 #include "em/material.hpp"
@@ -75,7 +79,27 @@ class CompactEm {
   /// `prepare` on a wire with equal params. Bit-identical to
   /// `step(j, T, dt)`.
   void step(AmpsPerM2 j, StepCoeffs& c);
-  void step(AmpsPerM2 j, Celsius temperature, Seconds dt);
+  /// Step at (temperature, dt) on the memoized coefficients. Throws for a
+  /// non-finite j, a non-finite temperature, or a negative or non-finite
+  /// dt (named in that order), and leaves the wire as it was.
+  void step(AmpsPerM2 j, Celsius temperature, Seconds dt) {
+    if (!(std::isfinite(j.value()) && std::isfinite(temperature.value()) &&
+          std::isfinite(dt.value()) && dt.value() >= 0.0)) [[unlikely]] {
+      reject_step(j, temperature);
+    }
+    if (dt.value() == 0.0 || broken_) return;
+    const Kelvin t = to_kelvin(temperature);
+    const auto kelvin_bits = std::bit_cast<std::uint64_t>(t.value());
+    const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
+    for (StepCoeffs& c : memo_) {
+      if (std::bit_cast<std::uint64_t>(c.dt_s) == dt_bits &&
+          std::bit_cast<std::uint64_t>(c.kelvin) == kelvin_bits) {
+        advance(j, c);
+        return;
+      }
+    }
+    advance(j, fill_memo(t, dt));
+  }
   void reset();
 
   /// Approximate tensile stress at the currently stressed end (signed:
@@ -106,8 +130,14 @@ class CompactEm {
   void load_state(ckpt::Deserializer& d);
 
  private:
-  /// The memoized `prepare(t, dt)`.
-  StepCoeffs& coeffs(Kelvin t, Seconds dt);
+  /// Throws the error of the first bad input of `step(j, T, dt)`: j, then
+  /// T, else dt.
+  [[noreturn]] static void reject_step(AmpsPerM2 j, Celsius temperature);
+  /// `prepare(t, dt)` into the round-robin memo slot, on a memo miss.
+  StepCoeffs& fill_memo(Kelvin t, Seconds dt);
+  /// The step body, shared by both `step`s after their checks: `c` has
+  /// dt_s > 0 and the wire is not broken.
+  void advance(AmpsPerM2 j, StepCoeffs& c);
 
   CompactEmParams params_;
   std::array<double, 3> taus_{};   // pool time constants (s)

@@ -314,6 +314,67 @@ TEST(CompactEm, MemoizedStepMatchesUnmemoizedOracle) {
   EXPECT_GT(steps, 40);
 }
 
+TEST(CompactEm, RejectionNamesFirstBadInputAndKeepsMemo) {
+  // step(j, T, dt) tests all three inputs at once inline; a failure must
+  // still name the first bad one (current density, then temperature, then
+  // time step), leave the wire as it was, and keep both memo slots valid.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const CompactEmParams p{.wire = paper_wire(),
+                          .material = paper_calibrated_em_material()};
+  CompactEm m{p};
+  OracleEm oracle{p};
+  const AmpsPerM2 fwd = paper_em_conditions::stress_density();
+  const AmpsPerM2 rev = paper_em_conditions::reverse_density();
+  const Celsius hot = paper_em_conditions::chamber();
+  bool forward = true;
+  const auto valid_step = [&] {
+    const AmpsPerM2 j = forward ? fwd : rev;
+    const Seconds dt = forward ? minutes(60.0) : minutes(15.0);
+    m.step(j, hot, dt);
+    oracle.step(j, hot, dt);
+    oracle.expect_matches(m);
+    forward = !forward;
+  };
+  for (int i = 0; i < 100 && !m.void_open(); ++i) valid_step();
+  ASSERT_TRUE(m.void_open());
+  const std::array<const char*, 3> names = {"current density", "temperature",
+                                            "time step"};
+  struct Bad {
+    AmpsPerM2 j;
+    Celsius t;
+    Seconds dt;
+    std::size_t first;  // index into names
+  };
+  for (const Bad& bad :
+       {Bad{AmpsPerM2{nan}, hot, Seconds{inf}, 0},
+        Bad{AmpsPerM2{inf}, Celsius{nan}, Seconds{-1.0}, 0},
+        Bad{AmpsPerM2{-inf}, Celsius{inf}, Seconds{nan}, 0},
+        Bad{AmpsPerM2{nan}, hot, Seconds{0.0}, 0},
+        Bad{fwd, Celsius{inf}, Seconds{nan}, 1},
+        Bad{rev, Celsius{-inf}, Seconds{-inf}, 1},
+        Bad{fwd, Celsius{nan}, Seconds{0.0}, 1},
+        Bad{fwd, hot, Seconds{-inf}, 2},
+        Bad{rev, Celsius{-300.0}, Seconds{nan}, 2},
+        Bad{fwd, hot, Seconds{-1.0}, 2}}) {
+    const CompactEm before = m;
+    try {
+      m.step(bad.j, bad.t, bad.dt);
+      ADD_FAILURE() << "accepted j=" << bad.j.value() << " T=" << bad.t.value()
+                    << " dt=" << bad.dt.value();
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      for (std::size_t k = 0; k < names.size(); ++k) {
+        EXPECT_EQ(what.find(names[k]) != std::string::npos, k == bad.first)
+            << what;
+      }
+    }
+    expect_same_state(m, before);
+    valid_step();
+  }
+  EXPECT_FALSE(oracle.broken) << "every valid step must have stepped";
+}
+
 TEST(CompactEm, SharedPreparedStepMatchesOracle) {
   // A PDN's segments share one prepare per quantum. Four wires with
   // different j take the same coefficients at a temperature that moves
