@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/arrhenius.hpp"
@@ -37,6 +38,65 @@ inline void precursor_substep(double g, double k_lock, double p_max, double h,
   pl += h * lock_flux;
   pu = std::max(pu, 0.0);
 }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// Four lanes of doubles, one AVX2 register (GNU vector extension).
+using Quad [[gnu::vector_size(32)]] = double;
+
+/// The lockstep substeps of `lanes` chains under one shared stress step
+/// (all have `substeps` to go), four lanes per `Quad` op so one divide
+/// serves four chains. Substep-major, so the chains overlap. The lanes
+/// take precursor_substep's operations in its order, with its two
+/// std::max as the same selects, and the last lanes % 4 run
+/// precursor_substep itself. AVX2 has no FMA to contract into, so every
+/// lane keeps the bits of the baseline loop. The vectors are explicit
+/// because GCC leaves a plain loop scalar at -O2 (the default build).
+///
+/// Two versions, chosen at load time by the CPU (function
+/// multiversioning): on an AVX2 CPU this one runs the substeps and
+/// returns true; the default one returns false and the caller runs its
+/// own loop (plain x86-64 would run a `Quad` body lane by lane).
+[[gnu::target("avx2")]]
+bool avx2_shared_substeps(double g, double k_lock, double p_max, double h,
+                          int substeps, std::size_t lanes, double* pu,
+                          double* pl) {
+  const std::size_t quads = lanes - lanes % 4;
+  const Quad zero = {};
+  for (int s = 0; s < substeps; ++s) {
+    std::size_t j = 0;
+    for (; j < quads; j += 4) {
+      Quad u{};
+      Quad l{};
+      std::memcpy(&u, pu + j, sizeof u);
+      std::memcpy(&l, pl + j, sizeof l);
+      const Quad free_share = 1.0 - (u + l) / p_max;
+      const Quad saturation = zero < free_share ? free_share : zero;
+      const Quad lock_flux = k_lock * u * u;
+      u += h * (g * saturation - lock_flux);
+      l += h * lock_flux;
+      u = u < zero ? zero : u;
+      std::memcpy(pu + j, &u, sizeof u);
+      std::memcpy(pl + j, &l, sizeof l);
+    }
+    for (; j < lanes; ++j) {
+      precursor_substep(g, k_lock, p_max, h, pu[j], pl[j]);
+    }
+  }
+  return true;
+}
+
+[[gnu::target("default")]]
+bool avx2_shared_substeps(double, double, double, double, int, std::size_t,
+                          double*, double*) {
+  return false;
+}
+#else
+/// No AVX2 version off x86-64: the caller runs its own loop.
+constexpr bool avx2_shared_substeps(double, double, double, double, int,
+                                    std::size_t, double*, double*) {
+  return false;
+}
+#endif
 
 /// Checks a step's dt; true when it is zero (the state is left as is).
 bool empty_step(Seconds dt) {
@@ -172,7 +232,9 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
   // stressed device whose state bit-equals the last lane's joins that lane
   // (member[k] takes lane member_lane[k]'s result). Static SRAM data makes
   // whole runs of equal states; only the previous lane is compared, so a
-  // batch without equal neighbours pays one comparison per device.
+  // batch without equal neighbours pays one comparison per device. On an
+  // AVX2 CPU two or more lanes of a shared step run in
+  // `avx2_shared_substeps`; everything else runs the loop below.
   std::size_t order[kChunk];
   std::size_t member[kChunk];
   std::size_t member_lane[kChunk];
@@ -228,6 +290,12 @@ void CompactBti::advance_lanes(const CompactBtiStep* steps,
     }
     std::size_t live = lanes;
     int s = 0;
+    if (stride == 0 && live > 1 &&
+        avx2_shared_substeps(steps->gen_v_per_s, steps->k_lock_per_v_s,
+                             steps->p_max_v, steps->h, steps->substeps,
+                             lanes, pu, pl)) {
+      live = 0;  // every lane has run its (equal) substep count
+    }
     for (;; ++s) {
       while (live > 0 && substeps[live - 1] <= s) --live;
       if (live <= 1) break;

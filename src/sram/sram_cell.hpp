@@ -43,8 +43,7 @@ class SramCell {
   void step(CellMode mode, bool stored_bit, Celsius temperature,
             Seconds dt);
 
-  /// Write the opposite bit (models data-flipping/rebalancing policies;
-  /// free in this model — the stress side just changes on the next step).
+  /// ΔVth of the left and right pull-up PMOS.
   [[nodiscard]] Volts left_pmos_dvth() const;
   [[nodiscard]] Volts right_pmos_dvth() const;
 

@@ -342,6 +342,23 @@ TEST(CompactBtiBatch, SharedStepDuplicateStatesMatchPerDeviceApply) {
        [&](std::size_t i, std::size_t) {
          return i % 2 ? minus_zero : plus_zero;
        }},
+      // Distinct lanes that reach both clamps of a substep: pu + pl past
+      // p_max (saturation clamps to +0.0), pu past 1/(h k_lock) (~0.116 V
+      // for the 7 min round, ~0.081 V for the long ones; pu clamps to 0 in
+      // one substep), and ordinary aged lanes between them. A vector max
+      // that returned the wrong operand would leave a negative value.
+      {"clamped and ordinary lanes",
+       [](std::size_t i, std::size_t) {
+         const double x = 1e-4 * static_cast<double>(i);
+         switch (i % 3) {
+           case 0:
+             return with_state(0.001, 0.02, 0.01 + x, 0.035 + x);
+           case 1:
+             return with_state(0.001, 0.02, 0.12 + x, 0.005);
+           default:
+             return with_state(0.001, 0.01, 0.002 + 0.1 * x, 0.004 + 0.1 * x);
+         }
+       }},
   };
   const CompactBtiParams params;
   const BtiCondition stress = paper_conditions::accelerated_stress();
