@@ -183,41 +183,11 @@ void BM_ThermalSteadySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalSteadySolve)->Arg(4)->Arg(8)->Arg(16);
 
+// One PdnGrid::solve per iteration: banded assembly, factorization and
+// back-substitution, on square meshes of 16 to 4096 nodes (fig12 runs the
+// 4x4 mesh).
 void BM_PdnIrSolve(benchmark::State& state) {
   pdn::PdnParams p;
-  p.rows = static_cast<std::size_t>(state.range(0));
-  p.cols = p.rows;
-  pdn::PdnGrid grid{p};
-  const std::vector<double> loads(grid.node_count(), 0.002);
-  const auto r = grid.fresh_segment_resistances(Celsius{85.0});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.solve(loads, r));
-  }
-}
-BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(12);
-
-// Dense-vs-sparse solve kernels at n in {64, 256, 1024, 4096} nodes
-// (grid sides 8..64). Dense is the from-scratch LU reference
-// (solve_uncached); sparse is a fresh banded solve — assembly +
-// factorization + solve — so the comparison is end-to-end, not
-// back-substitution vs LU. The 64x64 dense case takes about a second
-// per iteration; filter with --benchmark_filter if that matters.
-void BM_PdnDenseSolve(benchmark::State& state) {
-  pdn::PdnParams p;
-  p.rows = p.cols = static_cast<std::size_t>(state.range(0));
-  pdn::PdnGrid grid{p};
-  const std::vector<double> loads(grid.node_count(), 0.002);
-  const auto r = grid.fresh_segment_resistances(Celsius{85.0});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.solve_uncached(loads, r));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(grid.node_count()));
-}
-BENCHMARK(BM_PdnDenseSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond)->Complexity();
-
-void BM_PdnSparseSolve(benchmark::State& state) {
-  pdn::PdnParams p;
   p.rows = p.cols = static_cast<std::size_t>(state.range(0));
   pdn::PdnGrid grid{p};
   const std::vector<double> loads(grid.node_count(), 0.002);
@@ -225,10 +195,8 @@ void BM_PdnSparseSolve(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(grid.solve(loads, r));
   }
-  state.SetComplexityN(static_cast<std::int64_t>(grid.node_count()));
 }
-BENCHMARK(BM_PdnSparseSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond)->Complexity();
+BENCHMARK(BM_PdnIrSolve)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   std::vector<double> out(1024, 0.0);

@@ -1,6 +1,6 @@
-// Dense linear algebra kernels used by the MNA circuit solver, the
-// thermal grid, and the PDN IR-drop solver, plus the Thomas algorithm used
-// by the Korhonen EM PDE integrator.
+// Dense linear algebra: the LU solve of the MNA circuit solver, plus the
+// Thomas algorithm used by the Korhonen EM PDE integrator. The PDN and
+// thermal grids solve on math::BandedSpd (banded_spd.hpp).
 #pragma once
 
 #include <cstddef>
@@ -25,39 +25,14 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  void fill(double v);
-
-  /// y = A x.
-  [[nodiscard]] std::vector<double> multiply(
-      std::span<const double> x) const;
-
-  [[nodiscard]] std::vector<double>& data() { return data_; }
-  [[nodiscard]] const std::vector<double>& data() const { return data_; }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting (in place), reusable for
-/// repeated solves against the same matrix (e.g. linear circuits, thermal
-/// grids with fixed conductances).
-class LuFactorization {
- public:
-  /// Factorizes a copy of `a`. Throws dh::Error if `a` is singular to
-  /// working precision.
-  explicit LuFactorization(const Matrix& a);
-
-  /// Solves A x = b.
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-};
-
-/// One-shot dense solve: A x = b.
+/// Dense solve A x = b by LU with partial pivoting. Throws dh::Error,
+/// naming the pivot, if `a` is singular to working precision.
 [[nodiscard]] std::vector<double> solve_dense(const Matrix& a,
                                               std::span<const double> b);
 

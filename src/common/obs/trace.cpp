@@ -47,7 +47,7 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
 
 JsonlTraceSink::~JsonlTraceSink() {
   // Flush-on-destruction: the trace tail must survive normal process exit
-  // even if nobody called flush_trace(). A failed final flush must NOT
+  // even if nobody flushed the sink. A failed final flush must NOT
   // propagate from a destructor — it is recorded as a dropped record
   // (`trace.drop`) instead.
   try {
@@ -200,11 +200,6 @@ void set_trace_sink(std::unique_ptr<TraceSink> sink) {
   g_epoch = std::chrono::steady_clock::now();
   g_env_pending = false;
   rearm_locked();
-}
-
-void flush_trace() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (g_sink) g_sink->flush();
 }
 
 }  // namespace dh::obs

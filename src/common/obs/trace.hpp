@@ -90,7 +90,4 @@ void trace_event_at(const char* category, const char* name,
 /// yet opened is forgotten, so clearing leaves tracing off.
 void set_trace_sink(std::unique_ptr<TraceSink> sink);
 
-/// Flush the installed sink, if any.
-void flush_trace();
-
 }  // namespace dh::obs

@@ -90,21 +90,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : engine_(seed) {}
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() {
-    return std::uniform_real_distribution<double>{0.0, 1.0}(engine_);
-  }
-
-  /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>{lo, hi}(engine_);
-  }
-
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] int uniform_int(int lo, int hi) {
-    return std::uniform_int_distribution<int>{lo, hi}(engine_);
-  }
-
   /// Standard normal deviate scaled to (mean, sigma). sigma = 0 returns
   /// `mean` (after drawing, so the stream advances as for sigma > 0);
   /// std::normal_distribution itself requires sigma > 0.
@@ -116,11 +101,6 @@ class Rng {
   /// Lognormal deviate with the given log-domain parameters.
   [[nodiscard]] double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>{mu, sigma}(engine_);
-  }
-
-  /// Exponential deviate with the given rate (lambda).
-  [[nodiscard]] double exponential(double rate) {
-    return std::exponential_distribution<double>{rate}(engine_);
   }
 
   /// Bernoulli trial with probability p of true.

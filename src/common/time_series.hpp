@@ -53,7 +53,6 @@ class TimeSeries {
   [[nodiscard]] const std::string& unit() const { return unit_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  [[nodiscard]] const std::vector<double>& raw_times() const { return times_; }
   [[nodiscard]] const std::vector<double>& raw_values() const {
     return values_;
   }

@@ -99,9 +99,6 @@ inline constexpr double kCelsiusOffset = 273.15;
 [[nodiscard]] constexpr Kelvin to_kelvin(Celsius c) {
   return Kelvin{c.value() + kCelsiusOffset};
 }
-[[nodiscard]] constexpr Celsius to_celsius(Kelvin k) {
-  return Celsius{k.value() - kCelsiusOffset};
-}
 
 // ---- Duration helpers ----------------------------------------------------
 
@@ -116,28 +113,15 @@ inline constexpr double kCelsiusOffset = 273.15;
 [[nodiscard]] constexpr double in_minutes(Seconds s) {
   return s.value() / 60.0;
 }
-[[nodiscard]] constexpr double in_hours(Seconds s) {
-  return s.value() / 3600.0;
-}
 [[nodiscard]] constexpr double in_years(Seconds s) {
   return s.value() / (365.25 * 86400.0);
 }
 
 // ---- Scale helpers -------------------------------------------------------
 
-[[nodiscard]] constexpr Meters micrometers(double um) {
-  return Meters{um * 1e-6};
-}
-[[nodiscard]] constexpr Meters nanometers(double nm) { return Meters{nm * 1e-9}; }
-[[nodiscard]] constexpr Meters millimeters(double mm) {
-  return Meters{mm * 1e-3};
-}
 [[nodiscard]] constexpr AmpsPerM2 mega_amps_per_cm2(double ma) {
   // 1 MA/cm^2 = 1e6 A / 1e-4 m^2 = 1e10 A/m^2.
   return AmpsPerM2{ma * 1e10};
-}
-[[nodiscard]] constexpr Pascals megapascals(double mpa) {
-  return Pascals{mpa * 1e6};
 }
 
 // ---- A few physically meaningful cross-type operations ------------------

@@ -95,9 +95,4 @@ double TrapEnsemble::occupied_fraction() const {
   return acc;
 }
 
-double TrapEnsemble::occupancy(std::size_t i) const {
-  DH_REQUIRE(i < occupancy_.size(), "trap bin index out of range");
-  return occupancy_[i];
-}
-
 }  // namespace dh::device

@@ -61,10 +61,6 @@ class TrapEnsemble {
   /// Weighted fraction of traps occupied, in [0, 1].
   [[nodiscard]] double occupied_fraction() const;
 
-  /// Occupancy of bin i (for tests/inspection).
-  [[nodiscard]] double occupancy(std::size_t i) const;
-  [[nodiscard]] std::size_t bin_count() const { return centers_.size(); }
-
   [[nodiscard]] const TrapEnsembleParams& params() const { return params_; }
 
  private:

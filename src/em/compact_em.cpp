@@ -71,8 +71,9 @@ CompactEm::StepCoeffs CompactEm::prepare(Kelvin t, Seconds dt) const {
   if (dt.value() == 0.0) return c;
   c.dt_s = dt.value();
   const EmMaterialParams& m = params_.material;
-  // The operation order of EmMaterialParams::kappa, driving_force and
-  // drift_velocity, with D(T) evaluated once. D(T) throws for T <= 0 K.
+  // The operation order of EmMaterialParams::kappa and driving_force, and
+  // of the drift velocity D(T) e Z rho j / kT, with D(T) evaluated once.
+  // D(T) throws for T <= 0 K.
   const double d = m.diffusivity(t);
   c.kt_j = constants::kBoltzmannJ * t.value();
   const double kappa = d * m.bulk_modulus_pa * m.atomic_volume_m3 / c.kt_j;

@@ -23,13 +23,6 @@ double EmMaterialParams::driving_force(double resistivity_ohm_m,
          j.value() / atomic_volume_m3;
 }
 
-double EmMaterialParams::drift_velocity(Kelvin t, double resistivity_ohm_m,
-                                        AmpsPerM2 j) const {
-  const double kt_j = constants::kBoltzmannJ * t.value();
-  return diffusivity(t) * constants::kElementaryCharge * z_eff *
-         resistivity_ohm_m * j.value() / kt_j;
-}
-
 double EmMaterialParams::fix_rate(Kelvin t) const {
   return 1.0 / fix_tau0_s * boltzmann_factor(fix_ea, t);
 }

@@ -51,9 +51,6 @@ struct EmMaterialParams {
   /// resistivity at temperature.
   [[nodiscard]] double driving_force(double resistivity_ohm_m,
                                      AmpsPerM2 j) const;
-  /// Drift velocity of the void surface under pure electron wind (m/s).
-  [[nodiscard]] double drift_velocity(Kelvin t, double resistivity_ohm_m,
-                                      AmpsPerM2 j) const;
   /// First-order immobilization rate at temperature t (1/s).
   [[nodiscard]] double fix_rate(Kelvin t) const;
   /// Critical Blech product 2*sigma_c*Omega/(e*Z*rho): below this j*L the

@@ -1,7 +1,6 @@
 #include "em/wire.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -28,10 +27,6 @@ Ohms WireGeometry::resistance_with_void(Kelvin t, Meters void_len) const {
 
 Amps WireGeometry::current_for_density(AmpsPerM2 j) const {
   return Amps{j.value() * cross_section_m2()};
-}
-
-double WireGeometry::blech_product(AmpsPerM2 j) const {
-  return std::abs(j.value()) * length.value();
 }
 
 WireGeometry paper_wire() { return WireGeometry{}; }

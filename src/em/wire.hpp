@@ -34,8 +34,6 @@ struct WireGeometry {
   [[nodiscard]] Ohms resistance_with_void(Kelvin t, Meters void_len) const;
   /// Current through the wire for a given current density.
   [[nodiscard]] Amps current_for_density(AmpsPerM2 j) const;
-  /// Blech product j*L (A/m) — immortality check input.
-  [[nodiscard]] double blech_product(AmpsPerM2 j) const;
 };
 
 /// The exact structure of the paper's Fig. 3 (35.76 Ohm at room T).

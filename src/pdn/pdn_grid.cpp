@@ -6,7 +6,6 @@
 
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
-#include "common/math/linalg.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/profile.hpp"
 
@@ -85,12 +84,6 @@ PdnGrid::PdnGrid(PdnParams params)
   frontier_.reserve(node_count());
 }
 
-std::size_t PdnGrid::node_index(std::size_t row, std::size_t col) const {
-  DH_REQUIRE(row < params_.rows && col < params_.cols,
-             "node coordinates out of range");
-  return row * params_.cols + col;
-}
-
 const PdnGrid::Segment& PdnGrid::segment(std::size_t i) const {
   DH_REQUIRE(i < segments_.size(), "segment index out of range");
   return segments_[i];
@@ -126,38 +119,8 @@ void PdnGrid::mark_powered(std::span<const double> segment_resistance) {
   }
 }
 
-template <class Edge, class Diagonal>
-void PdnGrid::assemble(std::span<const double> segment_resistance, Edge edge,
-                       Diagonal diagonal) {
-  mark_powered(segment_resistance);
-  // A finite segment with one powered end has two.
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const auto [a, b] = segments_[s];
-    if (powered_[a] && !std::isinf(segment_resistance[s])) {
-      edge(a, b, 1.0 / segment_resistance[s]);
-    }
-  }
-  const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) diagonal(p, g_pad);
-  for (std::size_t i = 0; i < powered_.size(); ++i) {
-    if (!powered_[i]) diagonal(i, 1.0);
-  }
-}
-
-void PdnGrid::assemble_rhs(std::span<const double> load_amps,
-                           std::vector<double>& rhs) const {
-  rhs.assign(node_count(), 0.0);
-  const double g_pad = 1.0 / params_.pad_resistance.value();
-  for (const std::size_t p : pads_) {
-    rhs[p] += g_pad * params_.vdd.value();
-  }
-  for (std::size_t i = 0; i < rhs.size(); ++i) {
-    rhs[i] = powered_[i] ? rhs[i] - load_amps[i] : 0.0;
-  }
-}
-
-void PdnGrid::check_inputs(std::span<const double> load_amps,
-                           std::span<const double> segment_resistance) const {
+PdnSolution PdnGrid::solve(std::span<const double> load_amps,
+                           std::span<const double> segment_resistance) {
   DH_REQUIRE(load_amps.size() == node_count(), "load vector size mismatch");
   for (const double load : load_amps) {
     DH_REQUIRE(std::isfinite(load), "node load must be finite");
@@ -168,20 +131,50 @@ void PdnGrid::check_inputs(std::span<const double> load_amps,
   for (const double r : segment_resistance) {
     DH_REQUIRE(r > 0.0, "segment resistance must be positive");
   }
-}
+  ++solve_stats_.solves;
+  pdn_metrics().solves.add();
 
-PdnSolution PdnGrid::finish_solution(
-    std::vector<double> node_voltage,
-    std::span<const double> segment_resistance) const {
+  const double g_pad = 1.0 / params_.pad_resistance.value();
+  {
+    DH_PROF_SCOPE("pdn.refactorize");
+    // Every entry starts at +0.0; a diagonal adds its segments in
+    // segment order and then its pad terms. An unpowered node gets a
+    // unit diagonal, and its zero RHS pins it to 0 V.
+    matrix_.clear();
+    mark_powered(segment_resistance);
+    // A finite segment with one powered end has two.
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      const auto [a, b] = segments_[s];
+      if (powered_[a] && !std::isinf(segment_resistance[s])) {
+        matrix_.add_edge(a, b, 1.0 / segment_resistance[s]);
+      }
+    }
+    for (const std::size_t p : pads_) matrix_.add_diagonal(p, g_pad);
+    for (std::size_t i = 0; i < powered_.size(); ++i) {
+      if (!powered_[i]) matrix_.add_diagonal(i, 1.0);
+    }
+    matrix_.factor();
+  }
+  ++solve_stats_.factorizations;
+  pdn_metrics().factorizations.add();
+
+  // Pad injections minus loads; 0 on the unpowered nodes.
+  rhs_.assign(node_count(), 0.0);
+  for (const std::size_t p : pads_) {
+    rhs_[p] += g_pad * params_.vdd.value();
+  }
+  for (std::size_t i = 0; i < rhs_.size(); ++i) {
+    rhs_[i] = powered_[i] ? rhs_[i] - load_amps[i] : 0.0;
+  }
   PdnSolution sol;
-  sol.node_voltage = std::move(node_voltage);
+  matrix_.solve(rhs_, sol.node_voltage);
+
   sol.segment_current.resize(segments_.size());
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const auto [a, b] = segments_[s];
     sol.segment_current[s] =
         (sol.node_voltage[a] - sol.node_voltage[b]) / segment_resistance[s];
   }
-  sol.worst_drop_v = 0.0;
   for (std::size_t i = 0; i < sol.node_voltage.size(); ++i) {
     const double drop = params_.vdd.value() - sol.node_voltage[i];
     if (drop > sol.worst_drop_v) {
@@ -190,54 +183,6 @@ PdnSolution PdnGrid::finish_solution(
     }
   }
   return sol;
-}
-
-PdnSolution PdnGrid::solve(std::span<const double> load_amps,
-                           std::span<const double> segment_resistance) {
-  check_inputs(load_amps, segment_resistance);
-  ++solve_stats_.solves;
-  pdn_metrics().solves.add();
-
-  {
-    DH_PROF_SCOPE("pdn.refactorize");
-    // Every entry starts at +0.0; a diagonal adds its segments in
-    // segment order and then its pad terms.
-    matrix_.clear();
-    assemble(
-        segment_resistance,
-        [this](std::size_t a, std::size_t b, double g) {
-          matrix_.add_edge(a, b, g);
-        },
-        [this](std::size_t i, double g) { matrix_.add_diagonal(i, g); });
-    matrix_.factor();
-  }
-  ++solve_stats_.factorizations;
-  pdn_metrics().factorizations.add();
-
-  assemble_rhs(load_amps, rhs_);
-  std::vector<double> v;
-  matrix_.solve(rhs_, v);
-  return finish_solution(std::move(v), segment_resistance);
-}
-
-PdnSolution PdnGrid::solve_uncached(
-    std::span<const double> load_amps,
-    std::span<const double> segment_resistance) {
-  check_inputs(load_amps, segment_resistance);
-  const std::size_t n = node_count();
-  math::Matrix g(n, n, 0.0);
-  assemble(
-      segment_resistance,
-      [&g](std::size_t a, std::size_t b, double cond) {
-        g(a, a) += cond;
-        g(b, b) += cond;
-        g(a, b) -= cond;
-        g(b, a) -= cond;
-      },
-      [&g](std::size_t i, double cond) { g(i, i) += cond; });
-  std::vector<double> rhs;
-  assemble_rhs(load_amps, rhs);
-  return finish_solution(math::solve_dense(g, rhs), segment_resistance);
 }
 
 bool PdnGrid::powered(std::size_t node) const {

@@ -59,10 +59,10 @@ class PdnGrid {
  public:
   explicit PdnGrid(PdnParams params);
 
+  /// Nodes are numbered row-major: node (r, c) is r * cols + c.
   [[nodiscard]] std::size_t node_count() const {
     return params_.rows * params_.cols;
   }
-  [[nodiscard]] std::size_t node_index(std::size_t row, std::size_t col) const;
 
   struct Segment {
     std::size_t a, b;
@@ -88,17 +88,10 @@ class PdnGrid {
   /// the arguments. The grid owns the factor and the solve workspace, and
   /// they and the solve counters make this method non-reentrant: a
   /// PdnGrid instance must not be solved from two threads at once
-  /// (parallel sweeps give each task its own grid).
+  /// (parallel sweeps give each task its own grid). Its agreement
+  /// reference is the dense solve in tests/support.
   [[nodiscard]] PdnSolution solve(std::span<const double> load_amps,
                                   std::span<const double> segment_resistance);
-
-  /// Reference solver: assembles and dense-solves (LU) from scratch — the
-  /// agreement baseline the banded solve is tested against. Shares the
-  /// open-circuit handling and its workspace with solve(), so it is
-  /// non-reentrant too.
-  [[nodiscard]] PdnSolution solve_uncached(
-      std::span<const double> load_amps,
-      std::span<const double> segment_resistance);
 
   /// Whether the last solve found `node` joined to a pad by finite
   /// segments (false for every node before the first solve).
@@ -118,28 +111,13 @@ class PdnGrid {
   void load_state(ckpt::Deserializer& d);
 
   [[nodiscard]] const PdnParams& params() const { return params_; }
+  /// The pad nodes: params().pad_nodes, or the four corners if empty.
   [[nodiscard]] const std::vector<std::size_t>& pads() const { return pads_; }
 
  private:
   /// Marks in powered_ each node that a path of finite-resistance
   /// segments joins to a pad (breadth-first from the pads).
   void mark_powered(std::span<const double> segment_resistance);
-  /// The conductance system of one solve, through mark_powered:
-  /// edge(a, b, g) for each finite segment between powered nodes, then
-  /// diagonal(i, g) for each pad and a unit diagonal(i, 1) for each
-  /// unpowered node (its zero RHS then pins it to 0 V).
-  template <class Edge, class Diagonal>
-  void assemble(std::span<const double> segment_resistance, Edge edge,
-                Diagonal diagonal);
-  /// Pad injections minus loads; 0 on the nodes assemble() found
-  /// unpowered, so call it after assemble().
-  void assemble_rhs(std::span<const double> load_amps,
-                    std::vector<double>& rhs) const;
-  void check_inputs(std::span<const double> load_amps,
-                    std::span<const double> segment_resistance) const;
-  [[nodiscard]] PdnSolution finish_solution(
-      std::vector<double> node_voltage,
-      std::span<const double> segment_resistance) const;
 
   PdnParams params_;
   std::vector<Segment> segments_;

@@ -124,10 +124,6 @@ void Core::step_all(std::span<Core> cores, std::span<const CoreAction> actions,
   }
 }
 
-Hertz Core::fmax() const {
-  return ro_.frequency(bti_.delta_vth());
-}
-
 double Core::degradation() const {
   return ro_.degradation(bti_.delta_vth());
 }

@@ -62,8 +62,6 @@ class Core {
     return bti_.breakdown();
   }
 
-  /// Maximum clock frequency the aged core sustains.
-  [[nodiscard]] Hertz fmax() const;
   /// Fractional frequency degradation vs fresh (the guardband driver).
   [[nodiscard]] double degradation() const;
 

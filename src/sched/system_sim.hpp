@@ -110,7 +110,6 @@ class SystemSimulator {
   void load_checkpoint(const std::string& path);
 
   [[nodiscard]] Seconds now() const { return Seconds{now_s_}; }
-  [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
   [[nodiscard]] const Core& core(std::size_t i) const;
   [[nodiscard]] const RecoveryPolicy& policy() const { return *policy_; }
 

@@ -29,7 +29,6 @@ class HealthMonitor {
 
   [[nodiscard]] double estimate() const { return estimate_; }
   [[nodiscard]] bool alarm() const { return alarm_; }
-  [[nodiscard]] std::size_t readings() const { return readings_; }
 
   void reset();
 

@@ -13,6 +13,7 @@
 #include "common/math/banded_spd.hpp"
 #include "common/math/linalg.hpp"
 #include "common/rng.hpp"
+#include "support/test_support.hpp"
 
 namespace dh::math {
 namespace {
@@ -23,7 +24,7 @@ namespace {
 void assemble_laplacian(BandedSpd& m, std::size_t rows, std::size_t cols,
                         double ground, Rng* rng = nullptr) {
   const auto weight = [&] {
-    return rng != nullptr ? rng->uniform(0.5, 2.0) : 1.0;
+    return rng != nullptr ? test::uniform(*rng, 0.5, 2.0) : 1.0;
   };
   m.clear();
   for (std::size_t r = 0; r < rows; ++r) {
@@ -76,7 +77,7 @@ TEST(Direct, BandedCholeskyMatchesDenseLu) {
   EXPECT_EQ(a.band(), 7u);
   a.factor();
   std::vector<double> rhs(a.size());
-  for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : rhs) v = test::uniform(rng, -1.0, 1.0);
   std::vector<double> x;
   a.solve(rhs, x);
   const auto x_ref = solve_dense(to_dense(a), rhs);
@@ -133,7 +134,7 @@ TEST(SpdSolver, RefactorMatchesFreshSolverAndRecoversFromFailures) {
     BandedSpd solver = grid_laplacian(rows, 9, 0.3, &rng);
     solver.factor();
     std::vector<double> b(rows * 9);
-    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : b) v = test::uniform(rng, -1.0, 1.0);
     std::vector<double> x;
     for (int k = 0; k < 5; ++k) {
       Rng draw = rng;  // the draws `fresh` takes
@@ -177,7 +178,7 @@ TEST(SpdSolver, AllMethodsAgreeWithDenseReference) {
   for (const std::size_t rows : {1ul, 6ul, 20ul}) {
     BandedSpd a = grid_laplacian(rows, 21, 0.15, &rng);
     std::vector<double> rhs(a.size());
-    for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : rhs) v = test::uniform(rng, -1.0, 1.0);
     const auto x_ref = solve_dense(to_dense(a), rhs);
 
     a.factor();

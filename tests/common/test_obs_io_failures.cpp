@@ -14,6 +14,7 @@
 #include "common/obs/trace.hpp"
 #include "common/rng.hpp"
 #include "sched/system_sim.hpp"
+#include "support/test_support.hpp"
 
 namespace dh {
 namespace {
@@ -79,7 +80,9 @@ SinkPath mutate_sink_path(const std::string& root, std::uint64_t seed) {
   Rng rng = Rng::stream(0x5A7B, seed);
   const auto letters = [&rng](std::size_t n) {
     std::string s(n, 'a');
-    for (char& c : s) c = static_cast<char>('a' + rng.uniform_int(0, 25));
+    for (char& c : s) {
+      c = static_cast<char>('a' + test::uniform_int(rng, 0, 25));
+    }
     return s;
   };
   switch (seed % 7) {
@@ -99,16 +102,16 @@ SinkPath mutate_sink_path(const std::string& root, std::uint64_t seed) {
     case 5: {  // a NUL byte, which the OS would cut the path at
       std::string path = root + "/sub/" + letters(8) + ".jsonl";
       path.insert(root.size() + 1 + static_cast<std::size_t>(
-                                        rng.uniform_int(0, 12)),
+                                        test::uniform_int(rng, 0, 12)),
                   1, '\0');
       return {path, true};
     }
     default: {  // 1-3 bytes flipped in the file name of a valid path
       std::string name = "trace_" + letters(6) + ".jsonl";
-      for (int k = rng.uniform_int(1, 3); k > 0; --k) {
+      for (int k = test::uniform_int(rng, 1, 3); k > 0; --k) {
         const auto i = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(name.size()) - 1));
-        name[i] = static_cast<char>(name[i] ^ rng.uniform_int(1, 255));
+            test::uniform_int(rng, 0, static_cast<int>(name.size()) - 1));
+        name[i] = static_cast<char>(name[i] ^ test::uniform_int(rng, 1, 255));
       }
       return {root + "/sub/" + name, false};
     }

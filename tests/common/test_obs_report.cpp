@@ -20,6 +20,7 @@
 #include "common/units.hpp"
 #include "sched/policy.hpp"
 #include "sched/system_sim.hpp"
+#include "support/test_support.hpp"
 
 namespace dh {
 namespace {
@@ -134,7 +135,7 @@ TEST(ObsTraceReport, PercentilesMatchStatsPercentile) {
     std::ostringstream trace;
     for (int i = 0; i < n; ++i) {
       // Rounded to 1/8 so the sample has ties and prints exactly.
-      values[i] = std::round(rng.uniform(-50.0, 50.0) * 8.0) / 8.0;
+      values[i] = std::round(test::uniform(rng, -50.0, 50.0) * 8.0) / 8.0;
       trace << "{\"cat\":\"a\",\"name\":\"x\",\"t_wall_ms\":" << i
             << ",\"f\":{\"v\":" << values[i] << "}}\n";
     }
@@ -280,7 +281,7 @@ Mutation mutate_trace(const std::string& base, std::uint64_t seed) {
   Rng rng = Rng::stream(0x7ACE, seed);
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(n) - 1));
+        test::uniform_int(rng, 0, static_cast<int>(n) - 1));
   };
   std::array<std::vector<std::size_t>, kClasses> at;
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -292,7 +293,7 @@ Mutation mutate_trace(const std::string& base, std::uint64_t seed) {
     case 0: {  // flip one bit of a byte of class (seed / 5) % kClasses
       const auto& offsets = at[(seed / 5) % kClasses];
       out[offsets[pick(offsets.size())]] ^=
-          static_cast<char>(1 << rng.uniform_int(0, 7));
+          static_cast<char>(1 << test::uniform_int(rng, 0, 7));
       break;
     }
     case 1: {  // truncate just before a byte of class (seed / 5) % kClasses

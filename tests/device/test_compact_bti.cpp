@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "device/bti_model.hpp"
 #include "device/calibration.hpp"
+#include "support/test_support.hpp"
 
 namespace dh::device {
 namespace {
@@ -134,19 +135,21 @@ std::vector<std::uint8_t> state_bytes(const CompactBti& m) {
 
 /// Stress, passive recovery or active recovery, at a random temperature.
 BtiCondition random_condition(Rng& rng) {
-  const Celsius t{rng.uniform(20.0, 125.0)};
-  switch (rng.uniform_int(0, 2)) {
+  const Celsius t{test::uniform(rng, 20.0, 125.0)};
+  switch (test::uniform_int(rng, 0, 2)) {
     case 0:
-      return {Volts{rng.uniform(0.5, 1.3)}, t};
+      return {Volts{test::uniform(rng, 0.5, 1.3)}, t};
     case 1:
       return {Volts{0.0}, t};
     default:
-      return {Volts{-rng.uniform(0.05, 0.4)}, t};
+      return {Volts{-test::uniform(rng, 0.05, 0.4)}, t};
   }
 }
 
 /// From under one precursor substep to a few days.
-Seconds random_dt(Rng& rng) { return Seconds{std::exp(rng.uniform(0.0, 13.0))}; }
+Seconds random_dt(Rng& rng) {
+  return Seconds{std::exp(test::uniform(rng, 0.0, 13.0))};
+}
 
 /// The model's update for one device, written out directly without the
 /// prepare/advance split: the oracle the batched kernel must reproduce
@@ -263,11 +266,11 @@ TEST(CompactBtiBatch, AdvanceMatchesPerDeviceApplyBitForBit) {
         std::vector<CompactBtiStep> steps;
         for (std::size_t i = 0; i < n; ++i) {
           conditions.push_back(random_condition(rng));
-          const int substeps = rng.uniform_int(1, 72);
-          dts.push_back(rng.uniform_int(0, 9) == 0
+          const int substeps = test::uniform_int(rng, 1, 72);
+          dts.push_back(test::uniform_int(rng, 0, 9) == 0
                             ? Seconds{0.0}
                             : Seconds{300.0 * substeps -
-                                      rng.uniform(0.0, 299.0)});
+                                      test::uniform(rng, 0.0, 299.0)});
           steps.push_back(CompactBti::prepare(params, conditions[i], dts[i]));
         }
         CompactBti::advance(steps, devices);

@@ -28,11 +28,9 @@ TEST(TrapEnsemble, StressFillsTraps) {
 TEST(TrapEnsemble, OccupancyBounded) {
   TrapEnsemble e = make_ensemble();
   e.apply(paper_conditions::accelerated_stress(), hours(100.0));
-  for (std::size_t i = 0; i < e.bin_count(); ++i) {
-    EXPECT_GE(e.occupancy(i), 0.0);
-    EXPECT_LE(e.occupancy(i), 1.0);
-  }
+  EXPECT_GT(e.occupied_fraction(), 0.0);
   EXPECT_LE(e.occupied_fraction(), 1.0);
+  EXPECT_LE(e.delta_vth().value(), e.params().dvth_max.value());
 }
 
 TEST(TrapEnsemble, StressIsMonotoneInTime) {

@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "em/em_sensor.hpp"
 #include "em/korhonen.hpp"
+#include "support/test_support.hpp"
 
 namespace dh::em {
 namespace {
@@ -216,7 +217,7 @@ class OracleEm {
       }
     }
     if (void_open) {
-      const double v = p_.material.drift_velocity(t, rho, j);
+      const double v = test::drift_velocity(p_.material, t, rho, j);
       const double rate = static_cast<double>(polarity_) * v;
       mobile_ += rate * (rate > 0.0 ? p_.material.slit_efficiency : 1.0) *
                  dt.value();

@@ -25,7 +25,7 @@ TEST(Wire, VoidAddsLinerResistance) {
   const WireGeometry w = paper_wire();
   const Kelvin t = to_kelvin(Celsius{230.0});
   const double r0 = w.resistance_with_void(t, Meters{0.0}).value();
-  const double r1 = w.resistance_with_void(t, nanometers(26.0)).value();
+  const double r1 = w.resistance_with_void(t, Meters{26e-9}).value();
   // 26 nm of liner at 62.5 Ohm/um is ~1.6 Ohm (the Fig. 5 scale).
   EXPECT_NEAR(r1 - r0, 26e-9 * w.liner_ohm_per_m, 0.05);
   EXPECT_GT(r1, r0);
@@ -53,15 +53,6 @@ TEST(Wire, CurrentForDensity) {
   const double i = w.current_for_density(mega_amps_per_cm2(7.96)).value();
   EXPECT_NEAR(i, 7.96e10 * 1.57e-6 * 0.8e-6, 1e-6);
   EXPECT_NEAR(i, 0.1, 0.01);
-}
-
-TEST(Wire, BlechProduct) {
-  const WireGeometry w = paper_wire();
-  EXPECT_NEAR(w.blech_product(mega_amps_per_cm2(7.96)),
-              7.96e10 * 2.673e-3, 1.0);
-  // Sign-independent.
-  EXPECT_DOUBLE_EQ(w.blech_product(mega_amps_per_cm2(-7.96)),
-                   w.blech_product(mega_amps_per_cm2(7.96)));
 }
 
 }  // namespace

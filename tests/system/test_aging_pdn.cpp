@@ -113,7 +113,7 @@ TEST(AgingPdn, ElapsedAccumulates) {
   AgingPdn pdn = make_hot_pdn();
   pdn.step(heavy_loads(pdn, 0.0), Celsius{85.0}, hours(2.0));
   pdn.step(heavy_loads(pdn, 0.0), Celsius{85.0}, hours(3.0));
-  EXPECT_NEAR(in_hours(pdn.elapsed()), 5.0, 1e-9);
+  EXPECT_NEAR(pdn.elapsed().value() / 3600.0, 5.0, 1e-9);
 }
 
 }  // namespace

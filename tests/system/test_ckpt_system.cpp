@@ -58,8 +58,11 @@ void expect_bit_identical(const SystemSummary& a, const SystemSummary& b) {
 
 void expect_traces_identical(const SystemSimulator& a,
                              const SystemSimulator& b) {
-  EXPECT_EQ(a.degradation_trace().raw_times(),
-            b.degradation_trace().raw_times());
+  ASSERT_EQ(a.degradation_trace().size(), b.degradation_trace().size());
+  for (std::size_t i = 0; i < a.degradation_trace().size(); ++i) {
+    EXPECT_EQ(a.degradation_trace().time_at(i).value(),
+              b.degradation_trace().time_at(i).value());
+  }
   EXPECT_EQ(a.degradation_trace().raw_values(),
             b.degradation_trace().raw_values());
   EXPECT_EQ(a.ir_drop_trace().raw_values(), b.ir_drop_trace().raw_values());

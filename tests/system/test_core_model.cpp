@@ -7,6 +7,7 @@
 #include "common/ckpt/serialize.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "support/test_support.hpp"
 
 namespace dh::sched {
 namespace {
@@ -16,8 +17,7 @@ Core make_core() { return Core{CoreParams{}}; }
 TEST(CoreModel, FreshCoreAtFullSpeed) {
   const Core c = make_core();
   EXPECT_DOUBLE_EQ(c.degradation(), 0.0);
-  EXPECT_DOUBLE_EQ(c.fmax().value(),
-                   c.params().ro.fresh_frequency.value());
+  EXPECT_DOUBLE_EQ(c.delta_vth().value(), 0.0);
 }
 
 TEST(CoreModel, RunningAgesTheCore) {
@@ -160,12 +160,14 @@ TEST(CoreModel, StepAllMatchesPerCoreStepBitForBit) {
     std::vector<double> util;
     std::vector<Celsius> temps;
     for (std::size_t i = 0; i < batched.size(); ++i) {
-      actions.push_back(all_actions[rng.uniform_int(0, 2)]);
-      const int u = rng.uniform_int(0, 3);
-      util.push_back(u == 0 ? 0.0 : u == 1 ? 1.0 : rng.uniform(0.0, 1.0));
-      temps.push_back(Celsius{rng.uniform(40.0, 110.0)});
+      actions.push_back(all_actions[test::uniform_int(rng, 0, 2)]);
+      const int u = test::uniform_int(rng, 0, 3);
+      util.push_back(u == 0   ? 0.0
+                     : u == 1 ? 1.0
+                              : test::uniform(rng, 0.0, 1.0));
+      temps.push_back(Celsius{test::uniform(rng, 40.0, 110.0)});
     }
-    const Seconds dt = round % 4 == 0 ? Seconds{rng.uniform(1.0, 3e4)}
+    const Seconds dt = round % 4 == 0 ? Seconds{test::uniform(rng, 1.0, 3e4)}
                                       : hours(6.0);
     Core::step_all(batched, actions, util, temps, dt);
     for (std::size_t i = 0; i < batched.size(); ++i) {

@@ -1,22 +1,15 @@
 // Determinism regressions for the parallel-execution layer: the EM wire
 // population and the SRAM health scan must be bit-identical at 1, 2, and
-// 8 threads, and the sparse PDN solve must match a fresh dense solve
-// across a full aging run. These carry the ctest label `parallel` so the
-// tier-1 line can run them under TSan (-DDH_SANITIZE=thread).
+// 8 threads. These carry the ctest label `parallel` so the tier-1 line
+// can run them under TSan (-DDH_SANITIZE=thread).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <string>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/math/linalg.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "em/compact_em.hpp"
 #include "em/em_sensor.hpp"
-#include "pdn/aging_pdn.hpp"
-#include "pdn/pdn_grid.hpp"
 #include "sram/sram_array.hpp"
 
 namespace dh {
@@ -88,62 +81,6 @@ TEST_F(ParallelDeterminism, SramScanBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(scans[0].mean_snm.value(), scans[i].mean_snm.value());
     EXPECT_EQ(scans[0].worst_pmos_dvth.value(),
               scans[i].worst_pmos_dvth.value());
-  }
-}
-
-TEST(PdnSolve, MatchesUncachedAcrossAgingRun) {
-  // Drive a PDN through an EM-flavoured aging trajectory: slow per-step
-  // drift plus occasional jumps (void opening).
-  pdn::PdnParams p;
-  p.rows = p.cols = 6;
-  pdn::PdnGrid grid{p};
-  std::vector<double> loads(grid.node_count(), 0.0);
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    loads[i] = 0.001 + 0.0005 * static_cast<double>(i % 7);
-  }
-  auto r = grid.fresh_segment_resistances(Celsius{85.0});
-  Rng rng{5};
-  for (int step = 0; step < 300; ++step) {
-    for (std::size_t s = 0; s < r.size(); ++s) {
-      r[s] *= 1.0 + 2e-4 * rng.uniform();  // slow EM drift
-    }
-    if (step % 97 == 50) r[step % r.size()] *= 1.8;  // void jump
-    const auto sparse = grid.solve(loads, r);
-    const auto dense = grid.solve_uncached(loads, r);
-    ASSERT_EQ(sparse.node_voltage.size(), dense.node_voltage.size());
-    for (std::size_t i = 0; i < sparse.node_voltage.size(); ++i) {
-      EXPECT_NEAR(sparse.node_voltage[i], dense.node_voltage[i], 1e-10);
-    }
-    EXPECT_NEAR(sparse.worst_drop_v, dense.worst_drop_v, 1e-10);
-  }
-  const auto& st = grid.solve_stats();
-  EXPECT_EQ(st.solves, 300u);
-  EXPECT_EQ(st.factorizations, 300u);
-}
-
-TEST(PdnGuards, RejectsInvalidPads) {
-  pdn::PdnParams p;
-  p.rows = p.cols = 4;
-  p.pad_nodes = {999};  // out of range
-  EXPECT_THROW(pdn::PdnGrid{p}, Error);
-}
-
-TEST(PdnGuards, SingularSystemRaisesDescriptiveError) {
-  // A conductance matrix with no path to any pad is exactly singular;
-  // the LU pivot check must say so instead of dividing by zero.
-  math::Matrix g(3, 3, 0.0);
-  g(0, 0) = 1.0;
-  g(0, 1) = -1.0;
-  g(1, 0) = -1.0;
-  g(1, 1) = 1.0;
-  g(2, 2) = 1.0;
-  const std::vector<double> rhs{0.0, 1.0, 0.0};
-  try {
-    (void)math::solve_dense(g, rhs);
-    FAIL() << "expected dh::Error for singular matrix";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string{e.what()}.find("singular"), std::string::npos);
-    EXPECT_NE(std::string{e.what()}.find("pivot"), std::string::npos);
   }
 }
 

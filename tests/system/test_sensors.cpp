@@ -158,8 +158,9 @@ TEST(HealthMonitor, ResetClears) {
   (void)m.update(0.05);
   m.reset();
   EXPECT_FALSE(m.alarm());
-  EXPECT_EQ(m.readings(), 0u);
   EXPECT_DOUBLE_EQ(m.estimate(), 0.0);
+  // The next reading is the first again: the estimate starts at it.
+  EXPECT_DOUBLE_EQ(m.update(0.02), 0.02);
 }
 
 TEST(HealthMonitor, Validation) {

@@ -1,8 +1,8 @@
 // Banded-vs-dense agreement for the grid solvers.
 //
-// PdnGrid and ThermalGrid solve on math::BandedSpd; the dense paths
-// survive as reference baselines (`solve_uncached`, explicit dense
-// assembly here). These tests randomize grid shapes, pad sets, and
+// PdnGrid and ThermalGrid solve on math::BandedSpd; the dense references
+// are tests/support's dense_pdn_solve and the explicit dense assembly
+// here. These tests randomize grid shapes, pad sets, and
 // drift histories and require the engine to agree to <= 1e-10, pin how
 // open (EM-broken) segments cut nodes off, and check that a solve depends
 // on its arguments only.
@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "pdn/aging_pdn.hpp"
 #include "pdn/pdn_grid.hpp"
+#include "support/test_support.hpp"
 #include "thermal/thermal_grid.hpp"
 
 namespace dh {
@@ -31,15 +32,15 @@ constexpr double kAgreementTol = 1e-10;
 
 pdn::PdnParams random_pdn_params(Rng& rng) {
   pdn::PdnParams p;
-  p.rows = static_cast<std::size_t>(rng.uniform_int(1, 12));
-  p.cols = static_cast<std::size_t>(rng.uniform_int(2, 12));
+  p.rows = static_cast<std::size_t>(test::uniform_int(rng, 1, 12));
+  p.cols = static_cast<std::size_t>(test::uniform_int(rng, 2, 12));
   const std::size_t n = p.rows * p.cols;
   // Random pad set: 1..4 distinct nodes (empty keeps the corner default).
   const std::size_t pad_count = static_cast<std::size_t>(
-      rng.uniform_int(1, 4));
+      test::uniform_int(rng, 1, 4));
   for (std::size_t i = 0; i < pad_count; ++i) {
     p.pad_nodes.push_back(static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(n) - 1)));
+        test::uniform_int(rng, 0, static_cast<int>(n) - 1)));
   }
   std::sort(p.pad_nodes.begin(), p.pad_nodes.end());
   p.pad_nodes.erase(std::unique(p.pad_nodes.begin(), p.pad_nodes.end()),
@@ -61,12 +62,12 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
 void expect_grid_matches_dense(pdn::PdnGrid& grid, Rng& rng,
                                const std::string& label) {
   std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{55.0});
-  for (auto& r : seg_r) r *= rng.uniform(0.5, 2.0);
+  for (auto& r : seg_r) r *= test::uniform(rng, 0.5, 2.0);
   for (int pattern = 0; pattern < 3; ++pattern) {
     std::vector<double> load(grid.node_count());
-    for (auto& v : load) v = rng.uniform(0.0, 0.02);
+    for (auto& v : load) v = test::uniform(rng, 0.0, 0.02);
     const auto sparse = grid.solve(load, seg_r);
-    const auto dense = grid.solve_uncached(load, seg_r);
+    const auto dense = test::dense_pdn_solve(grid, load, seg_r);
     ASSERT_EQ(sparse.node_voltage.size(), dense.node_voltage.size());
     EXPECT_LE(max_abs_diff(sparse.node_voltage, dense.node_voltage),
               kAgreementTol)
@@ -119,12 +120,12 @@ TEST(SparseAgreement, DriftSequenceStaysWithinToleranceOfDense) {
   pdn::PdnGrid grid{params};
   std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{45.0});
   std::vector<double> load(grid.node_count());
-  for (auto& v : load) v = rng.uniform(0.0, 0.015);
+  for (auto& v : load) v = test::uniform(rng, 0.0, 0.015);
 
   for (int step = 0; step < 60; ++step) {
-    for (auto& r : seg_r) r *= 1.0 + rng.uniform(0.0, 0.01);
+    for (auto& r : seg_r) r *= 1.0 + test::uniform(rng, 0.0, 0.01);
     const auto sparse = grid.solve(load, seg_r);
-    const auto dense = grid.solve_uncached(load, seg_r);
+    const auto dense = test::dense_pdn_solve(grid, load, seg_r);
     ASSERT_LE(max_abs_diff(sparse.node_voltage, dense.node_voltage),
               kAgreementTol)
         << "diverged at drift step " << step;
@@ -158,10 +159,10 @@ TEST(SparseAgreement, OpenSegmentsCutNodesOffExactly) {
     std::vector<bool> unpowered(grid.node_count(), false);
     for (const std::size_t i : cut_off) unpowered[i] = true;
     std::vector<double> seg_r = grid.fresh_segment_resistances(Celsius{85.0});
-    for (auto& r : seg_r) r *= rng.uniform(1.0, 1.5);
+    for (auto& r : seg_r) r *= test::uniform(rng, 1.0, 1.5);
     // Light enough that every powered node stays above 0 V.
     std::vector<double> load(grid.node_count());
-    for (auto& v : load) v = rng.uniform(0.0, 0.002);
+    for (auto& v : load) v = test::uniform(rng, 0.0, 0.002);
     std::vector<bool> open(grid.segment_count(), false);
     for (std::size_t s = 0; s < grid.segment_count(); ++s) {
       const auto [a, b] = grid.segment(s);
@@ -170,7 +171,7 @@ TEST(SparseAgreement, OpenSegmentsCutNodesOffExactly) {
     }
 
     const auto sparse = grid.solve(load, seg_r);
-    const auto dense = grid.solve_uncached(load, seg_r);
+    const auto dense = test::dense_pdn_solve(grid, load, seg_r);
     EXPECT_LE(max_abs_diff(sparse.node_voltage, dense.node_voltage),
               kAgreementTol)
         << name;
@@ -222,17 +223,18 @@ TEST(SparseAgreement, ReusedGridWorkspaceMatchesFreshAssembly) {
     const int kind = k % 3;  // 0 fresh, 1 aged, 2 aged with open segments
     std::vector<double> seg_r = fresh;
     if (kind > 0) {
-      for (auto& r : seg_r) r *= rng.uniform(1.0, 1.5);
+      for (auto& r : seg_r) r *= test::uniform(rng, 1.0, 1.5);
     }
     std::vector<double> load(grid.node_count());
     for (auto& v : load) {
-      v = kind == 2 ? rng.uniform(0.2, 1.5) : rng.uniform(0.0, 0.02);
+      v = kind == 2 ? test::uniform(rng, 0.2, 1.5)
+                    : test::uniform(rng, 0.0, 0.02);
     }
     if (kind == 2) {
       const int broken =
-          rng.uniform_int(1, static_cast<int>(seg_r.size()) - 1);
+          test::uniform_int(rng, 1, static_cast<int>(seg_r.size()) - 1);
       for (int b = 0; b < broken; ++b) {
-        seg_r[static_cast<std::size_t>(rng.uniform_int(
+        seg_r[static_cast<std::size_t>(test::uniform_int(rng, 
             0, static_cast<int>(seg_r.size()) - 1))] = inf;
       }
     }
@@ -267,7 +269,7 @@ TEST(SparseAgreement, ReusedGridWorkspaceMatchesFreshAssembly) {
     const auto want = pdn::PdnGrid{params}.solve(load, seg_r);
     EXPECT_EQ(got.node_voltage, want.node_voltage) << "solve " << k;
     EXPECT_EQ(got.segment_current, want.segment_current) << "solve " << k;
-    const auto dense = grid.solve_uncached(load, seg_r);
+    const auto dense = test::dense_pdn_solve(grid, load, seg_r);
     double scale = 1.0;
     for (const double v : dense.node_voltage) {
       scale = std::max(scale, std::abs(v));
@@ -288,9 +290,9 @@ TEST(SparseAgreement, SolveDependsOnlyOnItsArguments) {
   pdn::PdnGrid used{params};
   std::vector<double> r1 = used.fresh_segment_resistances(Celsius{85.0});
   std::vector<double> load(used.node_count());
-  for (auto& v : load) v = rng.uniform(0.0, 0.02);
+  for (auto& v : load) v = test::uniform(rng, 0.0, 0.02);
   std::vector<double> r2 = r1;
-  for (auto& r : r2) r *= 1.0 + rng.uniform(0.0, 1e-3);
+  for (auto& r : r2) r *= 1.0 + test::uniform(rng, 0.0, 1e-3);
 
   (void)used.solve(load, r1);
   const auto again = used.solve(load, r2);
@@ -312,10 +314,9 @@ TEST(SparseAgreement, SingularPadlessGridRaisesDescriptiveError) {
   const auto seg_r = grid.fresh_segment_resistances(Celsius{25.0});
   std::vector<double> load(grid.node_count(), 1e-3);
   try {
-    (void)grid.solve(load, seg_r);
     // A 1e30 pad may still factor in double precision; if it does the
     // result must at least be finite.
-    const auto sol = grid.solve_uncached(load, seg_r);
+    const auto sol = grid.solve(load, seg_r);
     for (const double v : sol.node_voltage) EXPECT_TRUE(std::isfinite(v));
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -335,7 +336,7 @@ TEST(SparseAgreement, ThermalSteadyMatchesDenseAssembly) {
     thermal::ThermalGrid grid{params};
     Rng rng{99};
     std::vector<double> watts(grid.tile_count());
-    for (auto& v : watts) v = rng.uniform(0.0, 2.5);
+    for (auto& v : watts) v = test::uniform(rng, 0.0, 2.5);
     grid.set_power_map(watts);
     grid.solve_steady();
 
@@ -381,10 +382,10 @@ TEST(SparseAgreement, ParallelPopulationSweepIsDeterministic) {
     pdn::PdnGrid grid{params};
     auto seg_r = grid.fresh_segment_resistances(Celsius{50.0});
     std::vector<double> load(grid.node_count());
-    for (auto& v : load) v = rng.uniform(0.0, 0.02);
+    for (auto& v : load) v = test::uniform(rng, 0.0, 0.02);
     double worst = 0.0;
     for (int step = 0; step < 8; ++step) {
-      for (auto& r : seg_r) r *= 1.0 + rng.uniform(0.0, 0.02);
+      for (auto& r : seg_r) r *= 1.0 + test::uniform(rng, 0.0, 0.02);
       worst = std::max(worst, grid.solve(load, seg_r).worst_drop_v);
     }
     return worst;
@@ -409,7 +410,7 @@ TEST(SparseAgreement, ParallelThermalSweepSharesNothing) {
     std::vector<double> watts(grid.tile_count());
     double hottest = 0.0;
     for (int s = 0; s < 6; ++s) {
-      for (auto& v : watts) v = stream.uniform(0.0, 1.5);
+      for (auto& v : watts) v = test::uniform(stream, 0.0, 1.5);
       grid.set_power_map(watts);
       grid.solve_steady();
       hottest = std::max(hottest, grid.max_temperature().value());
@@ -434,6 +435,43 @@ TEST(SparseAgreement, AgingPdnReportsSolverCounters) {
   const auto st = aging.stats();
   EXPECT_GE(st.solver_factorizations, 1u);
   EXPECT_EQ(st.solver_factorizations, aging.grid().solve_stats().factorizations);
+}
+
+TEST(PdnSolve, MatchesUncachedAcrossAgingRun) {
+  // Drive a PDN through an EM-flavoured aging trajectory: slow per-step
+  // drift plus occasional jumps (void opening).
+  pdn::PdnParams p;
+  p.rows = p.cols = 6;
+  pdn::PdnGrid grid{p};
+  std::vector<double> loads(grid.node_count(), 0.0);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    loads[i] = 0.001 + 0.0005 * static_cast<double>(i % 7);
+  }
+  auto r = grid.fresh_segment_resistances(Celsius{85.0});
+  Rng rng{5};
+  for (int step = 0; step < 300; ++step) {
+    for (std::size_t s = 0; s < r.size(); ++s) {
+      r[s] *= 1.0 + 2e-4 * test::uniform(rng);  // slow EM drift
+    }
+    if (step % 97 == 50) r[step % r.size()] *= 1.8;  // void jump
+    const auto sparse = grid.solve(loads, r);
+    const auto dense = test::dense_pdn_solve(grid, loads, r);
+    ASSERT_EQ(sparse.node_voltage.size(), dense.node_voltage.size());
+    for (std::size_t i = 0; i < sparse.node_voltage.size(); ++i) {
+      EXPECT_NEAR(sparse.node_voltage[i], dense.node_voltage[i], 1e-10);
+    }
+    EXPECT_NEAR(sparse.worst_drop_v, dense.worst_drop_v, 1e-10);
+  }
+  const auto& st = grid.solve_stats();
+  EXPECT_EQ(st.solves, 300u);
+  EXPECT_EQ(st.factorizations, 300u);
+}
+
+TEST(PdnGuards, RejectsInvalidPads) {
+  pdn::PdnParams p;
+  p.rows = p.cols = 4;
+  p.pad_nodes = {999};  // out of range
+  EXPECT_THROW(pdn::PdnGrid{p}, Error);
 }
 
 }  // namespace
